@@ -162,6 +162,11 @@ def maximal_cliques(G):
     return sorted(found, key=lambda c: tuple(sorted(c)))
 
 
+def clique_number(G):
+    """Size of a largest clique; 0 for the graph with no vertices."""
+    return max((len(c) for c in maximal_cliques(G)), default=0)
+
+
 def clique_decomposition(G, start):
     """Arrange the maximal cliques so each meets the union of its
     predecessors in a clique.

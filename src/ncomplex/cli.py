@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .chordal import is_chordal, is_weakly_triangulated, maximal_cliques
+from .chordal import clique_number, is_chordal, is_weakly_triangulated
 from .complexes import SimplicialComplex, neighborhood_complex
 from .connectivity import vertex_connectivity
 from .errors import CapExceededError
@@ -27,7 +27,7 @@ from .graph import (
     random_chordal_graph,
 )
 from .homology import reduced_homology
-from .verify import VERIFIER_IDS, VERIFIER_ALIASES, run_verifier
+from .verify import VERIFIER_ALIASES, VERIFIER_IDS, VERIFIERS, run_verifier
 
 
 def _read_text(path):
@@ -114,7 +114,7 @@ def _cmd_analyze(args):
         "chordal": chord.chordal,
         "stiff": is_stiff(G),
         "fold_steps": len(trace.steps),
-        "max_clique_size": max((len(c) for c in maximal_cliques(G)), default=0),
+        "max_clique_size": clique_number(G),
     }
     wt = _capped(is_weakly_triangulated, G, max_vertices=args.wt_cap)
     summary["weakly_triangulated"] = wt if isinstance(wt, str) else wt.holds
@@ -124,17 +124,10 @@ def _cmd_analyze(args):
     return 0
 
 
-def _queen_grid():
-    """Homology of every reference cell as a grid: rows k, columns (m,n)."""
-    from .verify import QUEEN_HOMOLOGY_TABLE, group_data
-
-    cells = sorted(QUEEN_HOMOLOGY_TABLE)
-    columns = {}
-    for m, n in cells:
-        report = reduced_homology(
-            neighborhood_complex(queen_graph(m, n)), 3, source=f"queen-{m}x{n}")
-        columns[(m, n)] = [
-            _describe_group(b, t) for b, t in group_data(report)]
+def _queen_grid(report):
+    """The queen-table verifier's homology as a grid: rows k, columns (m,n)."""
+    cells = sorted(report.homology)
+    columns = {c: [g.describe() for g in report.homology[c].groups] for c in cells}
     width = max(6, max(len(v) for col in columns.values() for v in col) + 1)
     head = "k\\(m,n) " + " ".join(f"({m},{n})".rjust(width) for m, n in cells)
     lines = [head, "-" * len(head)]
@@ -144,27 +137,19 @@ def _queen_grid():
     return "\n".join(lines)
 
 
-def _describe_group(betti, torsion):
-    parts = []
-    if betti == 1:
-        parts.append("Z")
-    elif betti > 1:
-        parts.append(f"Z^{betti}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 def _cmd_verify(args):
     ids = list(VERIFIER_IDS) if args.which == "all" else [args.which]
     reports = []
     for which in ids:
         print(f"running {which} ...", file=sys.stderr)
+        cap = VERIFIERS[VERIFIER_ALIASES.get(which, which)][1]
+        if cap is not None and args.count > cap:
+            print(f"note: {which} checks at most {cap} seeded instances, "
+                  f"not --count {args.count}", file=sys.stderr)
         reports.append(run_verifier(which, seed=args.seed, count=args.count,
                                     fold_cap=args.fold_cap))
     if args.format == "table":
-        lines = []
-        if any(r.theorem_id == "queen-table" for r in reports):
-            lines.append(_queen_grid())
+        lines = [_queen_grid(r) for r in reports if r.theorem_id == "queen-table"]
         for r in reports:
             lines.append(f"{r.theorem_id}: {'pass' if r.passed else 'FAIL'} "
                          f"(checked {r.instances_checked}, skipped {len(r.skipped)})")

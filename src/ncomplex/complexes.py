@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, is_complete_on, restricted_adjacency
 
 
 class SimplicialComplex:
@@ -270,10 +270,6 @@ def neighbor_subcomplex_connected(G, v):
     return path_connected(induced_subcomplex(X, target))
 
 
-def _complete_on(adj, alive):
-    return all(len(adj[v] & alive) == len(alive) - 1 for v in alive)
-
-
 def certify_connectivity(G, order, k):
     """Checker for k-connectedness of the neighborhood complex.
 
@@ -289,23 +285,18 @@ def certify_connectivity(G, order, k):
         raise ValueError("order contains repeated vertices")
     for v in order:
         G.neighbors(v)
-    full = {v: frozenset(G.adjacency[v]) for v in range(G.n)}
     alive = set(range(G.n)) - set(order)
     if not alive:
         return None
-
-    def restricted(members):
-        return {v: set(full[v] & members) for v in members}
-
     base_alive = frozenset(alive)
-    if not _complete_on(restricted(base_alive), base_alive):
+    if not is_complete_on(restricted_adjacency(G, base_alive), base_alive):
         return None
     if len(base_alive) < k + 3:
         return None
     chain = []
     for v in reversed(order):
         alive.add(v)
-        adj = restricted(frozenset(alive))
+        adj = restricted_adjacency(G, alive)
         check = _extension_check(adj, v, k)
         if not check.holds:
             return None

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, is_complete_on, restricted_adjacency
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,6 @@ def fold_reduction(G, rule="min"):
     return FoldTrace(G, tuple(steps), induced_subgraph(G, alive), tuple(alive))
 
 
-def _is_complete_on(adj, alive):
-    return all(len(adj[v] & alive) == len(alive) - 1 for v in alive)
-
-
 def folds_onto_clique(G, p, exhaustive_cap=12):
     """Can some fold sequence shrink G to a complete graph on p vertices?
 
@@ -83,11 +79,6 @@ def folds_onto_clique(G, p, exhaustive_cap=12):
         raise ValueError("target clique size must be positive")
     if p > G.n:
         return FoldDecision("no", None)
-    full_adj = {v: frozenset(G.adjacency[v]) for v in range(G.n)}
-
-    def restricted(alive):
-        return {v: set(full_adj[v] & alive) for v in alive}
-
     greedy = fold_reduction(G)
     alive = set(range(G.n))
     prefix = []
@@ -95,7 +86,7 @@ def folds_onto_clique(G, p, exhaustive_cap=12):
         if step is not None:
             prefix.append(step)
             alive.discard(step[0])
-        if len(alive) == p and _is_complete_on(restricted(frozenset(alive)), frozenset(alive)):
+        if len(alive) == p and is_complete_on(restricted_adjacency(G, alive), alive):
             trace = FoldTrace(G, tuple(prefix),
                               induced_subgraph(G, sorted(alive)), tuple(sorted(alive)))
             return FoldDecision("yes", trace)
@@ -107,9 +98,9 @@ def folds_onto_clique(G, p, exhaustive_cap=12):
     def search(alive):
         if alive in memo:
             return memo[alive]
-        adj = restricted(alive)
+        adj = restricted_adjacency(G, alive)
         if len(alive) == p:
-            ans = [] if _is_complete_on(adj, alive) else None
+            ans = [] if is_complete_on(adj, alive) else None
             memo[alive] = ans
             return ans
         if len(alive) < p:

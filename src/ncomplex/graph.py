@@ -258,6 +258,17 @@ def induced_subgraph(G, vertices):
     return Graph(len(keep), edges, labels)
 
 
+def restricted_adjacency(G, members):
+    """Mutable neighbor sets of the subgraph on `members`, original indices."""
+    adj = G.adjacency
+    return {v: set(adj[v] & members) for v in members}
+
+
+def is_complete_on(adj, members):
+    """Do the `members` form a clique under the adjacency map `adj`?"""
+    return all(len(adj[v] & members) == len(members) - 1 for v in members)
+
+
 def degree_sequence(G):
     return sorted(len(G.adjacency[v]) for v in range(G.n))
 

@@ -87,8 +87,20 @@ def boundary_matrix(X, k):
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
 
 
-def _boundary_entries(X, k):
-    return boundary_matrix(X, k).entries
+def _reduce(entries, method):
+    """(rank, torsion) of one boundary matrix. The rank route sees no
+    torsion; "both" also runs it and insists the two ranks agree."""
+    if method == "rank":
+        return rank_over_rationals(entries), ()
+    if method not in ("smith", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    form = smith_normal_form(entries)
+    if method == "both":
+        rational = rank_over_rationals(entries)
+        if rational != form.rank:
+            raise AssertionError(
+                f"rank mismatch between routes: smith={form.rank} rational={rational}")
+    return form.rank, tuple(d for d in form.factors if d > 1)
 
 
 def reduced_homology(X, max_dim, method="smith", source=""):
@@ -101,29 +113,12 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    if method not in ("smith", "rank", "both"):
-        raise ValueError(f"unknown method {method!r}")
     counts = tuple(X.face_count(k) for k in range(max_dim + 2))
-    ranks_smith = []
-    ranks_rational = []
-    torsion = {}
-    for k in range(max_dim + 2):
-        entries = _boundary_entries(X, k)
-        if method in ("smith", "both"):
-            form = smith_normal_form(entries)
-            ranks_smith.append(form.rank)
-            if k >= 1:
-                torsion[k - 1] = tuple(d for d in form.factors if d > 1)
-        if method in ("rank", "both"):
-            ranks_rational.append(rank_over_rationals(entries))
-    if method == "both" and ranks_smith != ranks_rational:
-        raise AssertionError(
-            f"rank mismatch between routes: smith={ranks_smith} rational={ranks_rational}")
-    ranks = ranks_smith if ranks_smith else ranks_rational
-    groups = []
-    for k in range(max_dim + 1):
-        betti = counts[k] - ranks[k] - ranks[k + 1]
-        groups.append(HomologyGroup(k, betti, torsion.get(k, ())))
+    ranks, torsion = zip(*(_reduce(boundary_matrix(X, k).entries, method)
+                           for k in range(max_dim + 2)))
+    # torsion of H~_k comes from the boundary out of degree k + 1
+    groups = [HomologyGroup(k, counts[k] - ranks[k] - ranks[k + 1], torsion[k + 1])
+              for k in range(max_dim + 1)]
     return HomologyReport(
         groups=tuple(groups),
         max_dim=max_dim,
@@ -174,16 +169,9 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
         return ConnectivityBound(dim_cap, False)
     if X.face_count(0) == 0:
         return ConnectivityBound(-2, True)
-
-    def reduce(entries):
-        if method == "smith":
-            form = smith_normal_form(entries)
-            return form.rank, tuple(d for d in form.factors if d > 1)
-        return rank_over_rationals(entries), ()
-
-    rank_k, _ = reduce(_boundary_entries(X, 0))
+    rank_k, _ = _reduce(boundary_matrix(X, 0).entries, method)
     for k in range(dim_cap + 1):
-        rank_next, torsion = reduce(_boundary_entries(X, k + 1))
+        rank_next, torsion = _reduce(boundary_matrix(X, k + 1).entries, method)
         betti = X.face_count(k) - rank_k - rank_next
         if betti or torsion:
             return ConnectivityBound(k - 1, True)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import (
+    clique_number,
     cut_apex_property,
     is_chordal,
     is_weakly_triangulated,
-    maximal_cliques,
     simplicial_vertices,
 )
 from .complexes import certify_connectivity, neighborhood_complex
@@ -31,6 +31,7 @@ from .folds import fold_reduction, folds_onto_clique, is_stiff
 from .graph import (
     Graph,
     chromatic_number,
+    complement,
     complete_graph,
     cycle_graph,
     induced_subgraph,
@@ -106,6 +107,8 @@ class VerificationReport:
     skipped: list = field(default_factory=list)
     regime: str = CERTIFIED
     seed: int = 0
+    # per-instance HomologyReports a verifier keeps for display; not serialised
+    homology: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -191,10 +194,6 @@ def board_removal_order(kind, m, n):
     return [(i - 1) * n + (j - 1) for i, j in reversed(adds)]
 
 
-def clique_number(G):
-    return max(len(c) for c in maximal_cliques(G)) if G.n else 0
-
-
 def chordal_shelling_order(G, connectivity_floor):
     """Order of simplicial-vertex removals that keeps the graph above a
     connectivity floor and preserves its clique number, ending on a complete
@@ -243,6 +242,11 @@ def overlay_graphs(G1, G2, shared):
     return Graph(G1.n + len(others), edges)
 
 
+def _has_apex(G, shared):
+    """Is some vertex outside `shared` adjacent to all of it?"""
+    return any(v not in shared and shared <= G.adjacency[v] for v in range(G.n))
+
+
 def _side_connectivity(G, dim_cap):
     """(connectivity bound, certified?) for a component graph's complex."""
     if G.is_complete():
@@ -263,6 +267,7 @@ def verify_queen_table(cells=None, expected=None, max_dim=3):
         G = queen_graph(m, n)
         hom = reduced_homology(neighborhood_complex(G), max_dim,
                                source=f"queen-{m}x{n}")
+        report.homology[(m, n)] = hom
         want_betti = table[(m, n)]
         want = [[want_betti[k], []] for k in range(max_dim + 1)]
         got = group_data(hom)
@@ -480,11 +485,7 @@ def verify_clique_cut(instances=None):
         if not all(G1.has_edge(u, v) for u, v in combinations(sorted(shared), 2)):
             report.skip(label, "precondition failed: glue is not a clique")
             continue
-        apex1 = next((v for v in range(G1.n)
-                      if v not in shared and shared <= G1.adjacency[v]), None)
-        apex2 = next((v for v in range(G2.n)
-                      if v not in shared and shared <= G2.adjacency[v]), None)
-        if apex1 is None or apex2 is None:
+        if not (_has_apex(G1, shared) and _has_apex(G2, shared)):
             report.skip(label, "precondition failed: missing apex adjacent to the glue")
             continue
         sides_ok = True
@@ -539,11 +540,7 @@ def verify_cut_bounds(instances=None):
     for G1, G2, shared, variant in instances:
         n = len(shared)
         label = f"variant {variant} overlap {n} sides {G1.n}+{G2.n}"
-        apex1 = next((v for v in range(G1.n)
-                      if v not in shared and shared <= G1.adjacency[v]), None)
-        apex2 = next((v for v in range(G2.n)
-                      if v not in shared and shared <= G2.adjacency[v]), None)
-        if apex1 is None or apex2 is None:
+        if not (_has_apex(G1, shared) and _has_apex(G2, shared)):
             report.skip(label, "precondition failed: missing apex over the overlap")
             continue
         cap = max(n + 1, 1)
@@ -561,9 +558,7 @@ def verify_cut_bounds(instances=None):
         # anticonnected minimal cut must see an apex in every component
         if shared and G.n <= 16 and not union_certified:
             wt = is_weakly_triangulated(G)
-            co_connected = is_connected(induced_subgraph(
-                Graph(G.n, [e for e in combinations(range(G.n), 2)
-                            if e not in G.edges]), sorted(shared)))
+            co_connected = is_connected(induced_subgraph(complement(G), sorted(shared)))
             if wt.holds and co_connected:
                 kappa_report = vertex_connectivity(G)
                 if kappa_report.kappa == n and not cut_apex_property(G, shared):
@@ -607,17 +602,23 @@ def verify_cut_bounds(instances=None):
 # driver
 # ---------------------------------------------------------------------------
 
-VERIFIER_IDS = (
-    "queen-table",
-    "counterexample",
-    "queen-king",
-    "mycielskian",
-    "lovasz-bound",
-    "chordal-main",
-    "chordal-connected",
-    "cut-complete",
-    "cut-bounds",
-)
+# id -> (run(seed=, count=, fold_cap=), count cap). A verifier with a cap
+# never checks more than that many seeded instances, whatever `count` asks.
+VERIFIERS = {
+    "queen-table": (lambda **_: verify_queen_table(), None),
+    "counterexample": (lambda **_: verify_counterexample(), None),
+    "queen-king": (lambda **_: verify_board_simple_connectivity(), None),
+    "mycielskian": (lambda seed, count, **_: verify_mycielskian_shift(count, seed), 20),
+    "lovasz-bound": (lambda seed, count, **_: verify_lovasz_bound(count, seed), None),
+    "chordal-main": (lambda seed, count, **_: verify_stiff_chordal(count, seed), None),
+    "chordal-connected": (
+        lambda seed, count, fold_cap: verify_chordal_fold_connectivity(count, seed, fold_cap),
+        24),
+    "cut-complete": (lambda **_: verify_clique_cut(), None),
+    "cut-bounds": (lambda **_: verify_cut_bounds(), None),
+}
+
+VERIFIER_IDS = tuple(VERIFIERS)
 
 VERIFIER_ALIASES = {"table1": "queen-table"}
 
@@ -626,26 +627,11 @@ def run_verifier(which, seed=1, count=100, fold_cap=12):
     """Run one verifier by id; `seed`, `count` and `fold_cap` apply where
     meaningful."""
     which = VERIFIER_ALIASES.get(which, which)
-    if which == "queen-table":
-        return verify_queen_table()
-    if which == "counterexample":
-        return verify_counterexample()
-    if which == "queen-king":
-        return verify_board_simple_connectivity()
-    if which == "mycielskian":
-        return verify_mycielskian_shift(count=min(count, 20), seed=seed)
-    if which == "lovasz-bound":
-        return verify_lovasz_bound(count=count, seed=seed)
-    if which == "chordal-main":
-        return verify_stiff_chordal(count=count, seed=seed)
-    if which == "chordal-connected":
-        return verify_chordal_fold_connectivity(count=min(count, 24), seed=seed,
-                                                fold_cap=fold_cap)
-    if which == "cut-complete":
-        return verify_clique_cut()
-    if which == "cut-bounds":
-        return verify_cut_bounds()
-    raise ValueError(f"unknown verifier {which!r}")
+    if which not in VERIFIERS:
+        raise ValueError(f"unknown verifier {which!r}")
+    run, cap = VERIFIERS[which]
+    return run(seed=seed, count=count if cap is None else min(count, cap),
+               fold_cap=fold_cap)
 
 
 def run_all(seed=1, count=100, fold_cap=12):

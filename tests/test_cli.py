@@ -163,3 +163,33 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "no-such-theorem"])
         assert exc.value.code == 2
+
+    def test_queen_grid_reuses_the_verifier_reports(self, capsys, monkeypatch):
+        import ncomplex.cli
+        import ncomplex.verify
+        cells = {(2, 2): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
+        monkeypatch.setattr(ncomplex.verify, "QUEEN_HOMOLOGY_TABLE", cells)
+        calls = []
+        real = ncomplex.verify.reduced_homology
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("source"))
+            return real(*args, **kwargs)
+        for module in (ncomplex.verify, ncomplex.cli):
+            monkeypatch.setattr(module, "reduced_homology", counted)
+        code, out, _ = run_cli(capsys, "verify", "queen-table", "--format", "table")
+        assert code == 0
+        assert calls == ["queen-2x2", "queen-2x3"]
+        head, _, *rows, summary = out.splitlines()
+        assert head.split()[1:] == ["(2,2)", "(2,3)"]
+        assert [row.split()[1:] for row in rows] == [["0", "0"], ["0", "0"],
+                                                     ["Z", "Z"], ["0", "0"]]
+        assert summary == "queen-table: pass (checked 2, skipped 0)"
+
+    def test_count_above_cap_is_noted_on_stderr(self, capsys):
+        code, capped, err = run_cli(capsys, "verify", "chordal-connected", "--count", "30")
+        assert code == 0
+        assert "note: chordal-connected checks at most 24" in err
+        _, at_cap, err = run_cli(capsys, "verify", "chordal-connected", "--count", "24")
+        assert capped == at_cap
+        assert "note:" not in err
