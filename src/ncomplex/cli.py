@@ -228,7 +228,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

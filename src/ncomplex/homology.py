@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
+from .errors import CapExceededError
 from .snf import rank_over_rationals, smith_normal_form
 
 
@@ -87,6 +89,22 @@ def boundary_matrix(X, k):
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
 
 
+# Largest number of faces in one degree that `reduced_homology` enumerates.
+# Every verifier input stays below 26,000; queen 6x6 reaches 180,828 at
+# max_dim 3 and 357,140 at max_dim 4.
+FACE_CAP = 250_000
+
+
+def _check_face_cap(X, top):
+    """Refuse a complex whose k-faces, for some k <= top, could exceed
+    FACE_CAP, bounding them by sum over facets F of C(|F|, k + 1)."""
+    for k in range(top + 1):
+        bound = sum(comb(len(f), k + 1) for f in X.facets)
+        if bound > FACE_CAP:
+            raise CapExceededError(
+                f"degree {k} may have up to {bound} faces, above the cap of {FACE_CAP}")
+
+
 def _reduce(entries, method):
     """(rank, torsion) of one boundary matrix. The rank route sees no
     torsion; "both" also runs it and insists the two ranks agree."""
@@ -113,6 +131,7 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
+    _check_face_cap(X, max_dim + 1)
     counts = tuple(X.face_count(k) for k in range(max_dim + 2))
     ranks, torsion = zip(*(_reduce(boundary_matrix(X, k).entries, method)
                            for k in range(max_dim + 2)))
@@ -171,8 +190,9 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
         return ConnectivityBound(-2, True)
     rank_k, _ = _reduce(boundary_matrix(X, 0).entries, method)
     for k in range(dim_cap + 1):
-        rank_next, torsion = _reduce(boundary_matrix(X, k + 1).entries, method)
-        betti = X.face_count(k) - rank_k - rank_next
+        B = boundary_matrix(X, k + 1)
+        rank_next, torsion = _reduce(B.entries, method)
+        betti = len(B.rows) - rank_k - rank_next
         if betti or torsion:
             return ConnectivityBound(k - 1, True)
         rank_k = rank_next

@@ -3,10 +3,12 @@
 Two independent routes are kept deliberately separate:
 
 * `smith_normal_form` reduces by unimodular row/column operations. Unit
-  pivots (chosen greedily by Markowitz cost through a lazy heap) eliminate
-  the bulk of a boundary matrix with no divisions; whatever remains, which
-  for torsion-free complexes is nothing, goes through a classical
-  invariant-factor reduction.
+  pivots eliminate the bulk of a boundary matrix with no divisions: the
+  shortest row holding a +-1 entry goes first, pivoting on that entry in
+  its sparsest column. Whatever remains, which for torsion-free complexes
+  is nothing, goes through a classical invariant-factor reduction. The
+  Smith form is unique, so the pivot order changes the cost, not the
+  result.
 * `rank_over_rationals` runs fraction-free cross-multiplication
   elimination, normalizing rows by their gcd to keep entries small.
 
@@ -38,36 +40,33 @@ def _sparse_from_entries(entries):
     return rows, cols
 
 
-def _markowitz(rows, cols, r, c):
-    return (len(rows[r]) - 1) * (len(cols[c]) - 1)
-
-
 def _unit_pivot_phase(rows, cols):
     """Eliminate on +-1 pivots; returns the number of pivots taken.
+
+    A lazy heap of (length, row) visits the shortest row first. An entry
+    whose length no longer matches its row is skipped: every elimination
+    pushes each row it changes again. A row with no +-1 entry is dropped
+    until an elimination changes it, so when the heap runs dry no row left
+    holds a +-1 entry. Otherwise the pivot is the row's +-1 entry in the
+    sparsest column, ties going to the lower column index.
 
     Each pivot clears its column by row operations, then its row and column
     are dropped: with the column already zero elsewhere, the implicit column
     operations that would clear the pivot row touch nothing else.
     """
-    heap = []
-    for r, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heap.append((_markowitz(rows, cols, r, c), r, c))
+    heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
     pivots = 0
     while heap:
-        cost, r, c = heapq.heappop(heap)
+        length, r = heapq.heappop(heap)
         row = rows.get(r)
-        if row is None:
+        if row is None or len(row) != length:
             continue
-        piv = row.get(c)
-        if piv not in (1, -1):
+        units = [c for c, v in row.items() if v in (1, -1)]
+        if not units:
             continue
-        fresh = _markowitz(rows, cols, r, c)
-        if fresh > cost:
-            heapq.heappush(heap, (fresh, r, c))
-            continue
+        c = min(units, key=lambda cc: (len(cols[cc]), cc))
+        piv = row[c]
         prow = rows.pop(r)
         for c2 in prow:
             cols[c2].discard(r)
@@ -90,10 +89,9 @@ def _unit_pivot_phase(rows, cols):
                     if c2 not in row2:
                         cols.setdefault(c2, set()).add(r2)
                     row2[c2] = nv
-                    if nv in (1, -1):
-                        heapq.heappush(
-                            heap, (_markowitz(rows, cols, r2, c2), r2, c2))
-            if not row2:
+            if row2:
+                heapq.heappush(heap, (len(row2), r2))
+            else:
                 del rows[r2]
         pivots += 1
     return pivots

@@ -87,6 +87,19 @@ class TestHomology:
         code, out, _ = run_cli(capsys, "homology", str(path), "--format", "table")
         assert code == 0 and "2  | Z" in out
 
+    def test_face_cap_refuses_before_enumerating(self, capsys, tmp_path, monkeypatch):
+        from ncomplex.complexes import SimplicialComplex
+        path = tmp_path / "q66.json"
+        _, out, _ = run_cli(capsys, "gen", "queen", "6", "6")
+        path.write_text(out)
+
+        def no_enumeration(self, k):
+            raise AssertionError(f"enumerated {k}-faces past the cap")
+        monkeypatch.setattr(SimplicialComplex, "faces", no_enumeration)
+        code, out, err = run_cli(capsys, "homology", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: degree 5 may have up to 357140 faces, above the cap of 250000\n"
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("n 3\nnot an edge\n")

@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncomplex import snf
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.graph import complete_graph
+from ncomplex.graph import complete_graph, queen_graph
 from ncomplex.homology import boundary_matrix
 from ncomplex.snf import rank_over_rationals, smith_normal_form
 
@@ -75,6 +77,44 @@ class TestSmithNormalForm:
                        for _ in range(cols)] for _ in range(rows)]
             form = smith_normal_form(entries_of(matrix))
             assert list(form.factors) == minors_gcd_smith(matrix)
+
+
+@pytest.fixture
+def residuals(monkeypatch):
+    """Every residual the unit-pivot phase hands the classical reduction."""
+    seen = []
+    real = snf._classical_invariant_factors
+
+    def recorded(rows):
+        seen.append({r: dict(row) for r, row in rows.items()})
+        return real(rows)
+    monkeypatch.setattr(snf, "_classical_invariant_factors", recorded)
+    return seen
+
+
+class TestUnitPivotPhase:
+    def test_row_gains_a_unit_from_an_elimination(self, residuals):
+        # row 0 is visited first and has no unit; pivoting row 1 on column 0
+        # turns it into (0, 1), so it must be visited again
+        form = smith_normal_form(entries_of([[2, 3], [1, 1]]))
+        assert form.factors == (1, 1)
+        assert residuals == [{}]
+
+    def test_unit_pivots_then_torsion_residual(self, residuals):
+        matrix = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 6, 0], [1, 0, 0, 4]]
+        form = smith_normal_form(entries_of(matrix))
+        assert list(form.factors) == minors_gcd_smith(matrix) == [1, 2, 2, 12]
+        (residual,) = residuals
+        assert residual
+        assert all(v not in (1, -1) for row in residual.values() for v in row.values())
+
+    def test_queen_boundary_leaves_no_residual(self, residuals):
+        # the whole queen 3x5 top boundary goes through unit pivots; work
+        # pushed into the classical reduction would be far slower
+        B = boundary_matrix(neighborhood_complex(queen_graph(3, 5)), 4)
+        form = smith_normal_form(B.entries)
+        assert form.rank == rank_over_rationals(B.entries)
+        assert residuals == [{}]
 
 
 class TestRationalRank:

@@ -155,9 +155,13 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             run_verifier("nonsense")
 
-    def test_alias(self):
+    def test_alias(self, monkeypatch):
+        import ncomplex.verify
+        cells = {(2, 2): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
+        monkeypatch.setattr(ncomplex.verify, "QUEEN_HOMOLOGY_TABLE", cells)
         report = run_verifier("table1")
         assert report.theorem_id == "queen-table"
+        assert report.instances_checked == len(cells)
 
 
 class TestReports:
