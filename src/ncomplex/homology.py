@@ -5,11 +5,30 @@ so H~_0 of a connected complex vanishes and all groups come out reduced.
 Faces are enumerated in lexicographic order per dimension; the face missing
 the vertex at sorted position i carries sign (-1)^i. Ranks and invariant
 factors come from exact integer arithmetic in `snf`.
+
+The Smith route clears rows before it reduces a boundary (Chen & Kerber
+2011, "Persistent homology computation with a twist", here over Z). The
+rows of d_{k+1} and the columns of d_k are both the k-faces in
+lexicographic order, so the two share indices. Let (P, C) be the rows and
+columns of the unit pivots that `smith_normal_form` took on d_k:
+
+* Row operations bring d_k[P, C] to a triangle with +-1 on the diagonal,
+  so the block is unimodular.
+* d_k d_{k+1} = 0 gives d_{k+1}[C, :] = -d_k[P, C]^-1 d_k[P, C'] d_{k+1}[C', :],
+  with C' the other k-faces. Unimodular row operations thus zero the rows
+  C, and d_{k+1} has the Smith form of d_{k+1}[C', :].
+* The identity holds for any rows of d_k, so it still holds when d_k was
+  itself cleared.
+
+Only unit pivots clear rows; the classical reduction's pivots never do.
+The rational-rank route clears nothing and stays an independent check on
+the full matrices.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
 
 from .errors import CapExceededError
@@ -89,36 +108,58 @@ def boundary_matrix(X, k):
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
 
 
-# Largest number of faces in one degree that `reduced_homology` enumerates.
-# Every verifier input stays below 26,000; queen 6x6 reaches 180,828 at
-# max_dim 3 and 357,140 at max_dim 4.
+# Largest number of faces in one degree that homology enumerates. Every
+# verifier input stays below 26,000; queen 6x6 reaches 180,828 at max_dim 3
+# and 357,140 at max_dim 4.
 FACE_CAP = 250_000
 
 
-def _check_face_cap(X, top):
-    """Refuse a complex whose k-faces, for some k <= top, could exceed
-    FACE_CAP, bounding them by sum over facets F of C(|F|, k + 1)."""
-    for k in range(top + 1):
-        bound = sum(comb(len(f), k + 1) for f in X.facets)
-        if bound > FACE_CAP:
-            raise CapExceededError(
-                f"degree {k} may have up to {bound} faces, above the cap of {FACE_CAP}")
+def _check_face_cap(X, k):
+    """Refuse a complex whose k-faces could exceed FACE_CAP, bounding them
+    by sum over facets F of C(|F|, k + 1)."""
+    bound = sum(comb(len(f), k + 1) for f in X.facets)
+    if bound > FACE_CAP:
+        raise CapExceededError(
+            f"degree {k} may have up to {bound} faces, above the cap of {FACE_CAP}")
 
 
-def _reduce(entries, method):
-    """(rank, torsion) of one boundary matrix. The rank route sees no
-    torsion; "both" also runs it and insists the two ranks agree."""
+def _reduce(entries, method, cleared):
+    """(rank, torsion, unit-pivot columns) of one boundary matrix.
+
+    The Smith route drops the rows in `cleared` first (see the module
+    docstring). The rank route clears nothing, returns no pivots and sees
+    no torsion; "both" also runs it on the full matrix and insists the two
+    ranks agree.
+    """
     if method == "rank":
-        return rank_over_rationals(entries), ()
+        return rank_over_rationals(entries), (), frozenset()
     if method not in ("smith", "both"):
         raise ValueError(f"unknown method {method!r}")
-    form = smith_normal_form(entries)
+    form = smith_normal_form({rc: v for rc, v in entries.items() if rc[0] not in cleared})
     if method == "both":
         rational = rank_over_rationals(entries)
         if rational != form.rank:
             raise AssertionError(
                 f"rank mismatch between routes: smith={form.rank} rational={rational}")
-    return form.rank, tuple(d for d in form.factors if d > 1)
+    return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
+
+
+def _homology_groups(X, method):
+    """Yield H~_0, H~_1, ... in turn, reducing each boundary once.
+
+    H~_k needs d_k and d_{k+1}; each boundary is built only when the next
+    group asks for it, after its degree passes the face cap, and the unit
+    pivots of d_k clear the rows of d_{k+1}.
+    """
+    _check_face_cap(X, 0)
+    rank_k, _, cleared = _reduce(boundary_matrix(X, 0).entries, method, frozenset())
+    for k in count():
+        _check_face_cap(X, k + 1)
+        B = boundary_matrix(X, k + 1)
+        rank_next, torsion, cleared = _reduce(B.entries, method, cleared)
+        # torsion of H~_k comes from the boundary out of degree k + 1
+        yield HomologyGroup(k, len(B.rows) - rank_k - rank_next, torsion)
+        rank_k = rank_next
 
 
 def reduced_homology(X, max_dim, method="smith", source=""):
@@ -131,15 +172,11 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    _check_face_cap(X, max_dim + 1)
+    for k in range(max_dim + 2):
+        _check_face_cap(X, k)
     counts = tuple(X.face_count(k) for k in range(max_dim + 2))
-    ranks, torsion = zip(*(_reduce(boundary_matrix(X, k).entries, method)
-                           for k in range(max_dim + 2)))
-    # torsion of H~_k comes from the boundary out of degree k + 1
-    groups = [HomologyGroup(k, counts[k] - ranks[k] - ranks[k + 1], torsion[k + 1])
-              for k in range(max_dim + 1)]
     return HomologyReport(
-        groups=tuple(groups),
+        groups=tuple(islice(_homology_groups(X, method), max_dim + 1)),
         max_dim=max_dim,
         face_counts=counts[: max_dim + 1],
         has_empty_face=not X.is_void,
@@ -182,18 +219,14 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
 
     method="smith" also sees pure-torsion groups, so its early exit is
     exact; the rank-only variant exists for cross-checks on torsion-free
-    complexes.
+    complexes. A degree past the first nonzero group is never built, nor
+    checked against the face cap.
     """
     if X.is_void:
         return ConnectivityBound(dim_cap, False)
     if X.face_count(0) == 0:
         return ConnectivityBound(-2, True)
-    rank_k, _ = _reduce(boundary_matrix(X, 0).entries, method)
-    for k in range(dim_cap + 1):
-        B = boundary_matrix(X, k + 1)
-        rank_next, torsion = _reduce(B.entries, method)
-        betti = len(B.rows) - rank_k - rank_next
-        if betti or torsion:
-            return ConnectivityBound(k - 1, True)
-        rank_k = rank_next
+    for g in islice(_homology_groups(X, method), dim_cap + 1):
+        if not g.is_zero:
+            return ConnectivityBound(g.dim - 1, True)
     return ConnectivityBound(dim_cap, False)

@@ -8,7 +8,8 @@ Two independent routes are kept deliberately separate:
   its sparsest column. Whatever remains, which for torsion-free complexes
   is nothing, goes through a classical invariant-factor reduction. The
   Smith form is unique, so the pivot order changes the cost, not the
-  result.
+  result. The columns of the unit pivots are reported alongside it, for
+  `homology` to clear the matching rows of the next boundary.
 * `rank_over_rationals` runs fraction-free cross-multiplication
   elimination, normalizing rows by their gcd to keep entries small.
 
@@ -27,6 +28,11 @@ from math import gcd
 class SmithForm:
     rank: int
     factors: tuple  # invariant factors d1 | d2 | ... | d_rank, all positive
+    # Columns pivoted on a +-1 entry by the unit-pivot phase. Their
+    # submatrix, with the pivot rows, is unimodular. This set depends on the
+    # pivot order, unlike rank and factors; the classical reduction's
+    # pivots are never in it.
+    unit_pivot_cols: frozenset = frozenset()
 
 
 def _sparse_from_entries(entries):
@@ -41,7 +47,7 @@ def _sparse_from_entries(entries):
 
 
 def _unit_pivot_phase(rows, cols):
-    """Eliminate on +-1 pivots; returns the number of pivots taken.
+    """Eliminate on +-1 pivots; returns the list of pivot columns.
 
     A lazy heap of (length, row) visits the shortest row first. An entry
     whose length no longer matches its row is skipped: every elimination
@@ -56,7 +62,7 @@ def _unit_pivot_phase(rows, cols):
     """
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         length, r = heapq.heappop(heap)
         row = rows.get(r)
@@ -93,7 +99,7 @@ def _unit_pivot_phase(rows, cols):
                 heapq.heappush(heap, (len(row2), r2))
             else:
                 del rows[r2]
-        pivots += 1
+        pivots.append(c)
     return pivots
 
 
@@ -164,10 +170,11 @@ def smith_normal_form(entries):
     are irrelevant to the result and may be omitted.
     """
     rows, cols = _sparse_from_entries(entries)
-    unit_rank = _unit_pivot_phase(rows, cols)
+    pivots = _unit_pivot_phase(rows, cols)
     tail = _classical_invariant_factors(rows)
     # a diagonal block of ones prepends cleanly to any divisibility chain
-    return SmithForm(unit_rank + len(tail), (1,) * unit_rank + tuple(tail))
+    return SmithForm(len(pivots) + len(tail), (1,) * len(pivots) + tuple(tail),
+                     frozenset(pivots))
 
 
 def rank_over_rationals(entries):

@@ -13,6 +13,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
+from ncomplex.complexes import SimplicialComplex
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 
 
@@ -25,6 +26,16 @@ def graphs(draw, min_n=1, max_n=8):
     else:
         edges = set()
     return Graph(n, edges)
+
+
+@st.composite
+def complexes(draw, max_n=7, max_facets=6):
+    """Small complexes on vertices 0..n-1, from up to `max_facets` random
+    faces of which the maximal ones are kept."""
+    n = draw(st.integers(1, max_n))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                          min_size=1, max_size=max_facets))
+    return SimplicialComplex.from_faces(faces)
 
 
 def seeded_graphs(count, max_n, seed, min_n=2, density=0.5, connected=False):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncomplex
 from ncomplex.cli import main
 
 
@@ -45,6 +50,25 @@ class TestGen:
         code, out, _ = run_cli(capsys, "gen", "king", "2", "2", "--output", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 4
+
+
+class TestModuleEntry:
+    def run_module(self, *argv):
+        src = str(Path(ncomplex.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ncomplex", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_python_dash_m_runs_the_cli(self):
+        result = self.run_module("gen", "queen", "2", "2")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["n"] == 4
+
+    def test_exit_code_passes_through(self):
+        result = self.run_module("gen", "cycle", "2")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error:")
 
 
 class TestHomology:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncomplex import homology
 from ncomplex.complexes import SimplicialComplex, neighborhood_complex, suspension
+from ncomplex.errors import CapExceededError
 from ncomplex.graph import complete_graph, cycle_graph, queen_graph
 from ncomplex.homology import (
     ConnectivityBound,
@@ -13,8 +16,9 @@ from ncomplex.homology import (
     homological_connectivity,
     reduced_homology,
 )
+from ncomplex.snf import smith_normal_form
 
-from conftest import graphs, seeded_graphs
+from conftest import complexes, graphs, seeded_graphs
 
 HOLLOW_TRIANGLE = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
 SOLID_TRIANGLE = SimplicialComplex([(0, 1, 2)])
@@ -30,6 +34,28 @@ PROJECTIVE_PLANE = SimplicialComplex([
 def groups_of(X, max_dim, method="smith"):
     rep = reduced_homology(X, max_dim, method=method)
     return [(g.betti, g.torsion) for g in rep.groups]
+
+
+def uncleared_groups(X, max_dim):
+    """(betti, torsion) per degree from the Smith forms of the full
+    boundaries, reduced one by one with no rows cleared."""
+    forms = [smith_normal_form(boundary_matrix(X, k).entries) for k in range(max_dim + 2)]
+    return [(X.face_count(k) - forms[k].rank - forms[k + 1].rank,
+             tuple(d for d in forms[k + 1].factors if d > 1))
+            for k in range(max_dim + 1)]
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """(entries, form) of every Smith reduction `homology` makes."""
+    seen = []
+
+    def recorded(entries):
+        form = smith_normal_form(entries)
+        seen.append((entries, form))
+        return form
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    return seen
 
 
 def multiply_is_zero(A, B):
@@ -188,3 +214,78 @@ class TestConnectivity:
     def test_torsion_detected_by_scan(self):
         bound = connectivity_of_complex(PROJECTIVE_PLANE, 2)
         assert bound == ConnectivityBound(0, True)
+
+
+class TestFaceCapOfTheScan:
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(homology, "FACE_CAP", 30)
+
+    def test_refuses_the_first_degree_over_the_cap(self):
+        # the 8-vertex simplex has 8, 28 and 56 faces in degrees 0, 1, 2
+        with pytest.raises(CapExceededError, match="degree 2 may have up to 56 faces"):
+            connectivity_of_complex(SimplicialComplex([range(8)]), 3)
+
+    def test_degrees_past_an_early_exit_are_not_checked(self):
+        # degree 1 is bounded by 30 and H~_0 = Z stops the scan there, so the
+        # degree 2 bound of 40 is never looked at
+        X = SimplicialComplex([range(6), range(6, 12)])
+        assert connectivity_of_complex(X, 3) == ConnectivityBound(-1, True)
+        with pytest.raises(CapExceededError, match="degree 2 may have up to 40 faces"):
+            reduced_homology(X, 1)
+
+
+class TestClearing:
+    def test_queen_top_boundary_keeps_only_uncleared_rows(self, smith_calls):
+        X = neighborhood_complex(queen_graph(3, 5))
+        reduced_homology(X, 3)
+        assert len(smith_calls) == 5
+        for _, form in smith_calls:
+            # torsion-free: every pivot is a unit pivot
+            assert len(form.unit_pivot_cols) == form.rank
+        d4_input = smith_calls[4][0]
+        d3_form = smith_calls[3][1]
+        rows = {r for r, _ in d4_input}
+        assert len(rows) == X.face_count(3) - d3_form.rank
+        assert not rows & d3_form.unit_pivot_cols
+        assert smith_calls[4][1].rank == smith_normal_form(boundary_matrix(X, 4).entries).rank
+
+    @pytest.mark.parametrize("suspensions", [0, 1, 2])
+    def test_projective_plane_keeps_its_torsion(self, smith_calls, suspensions):
+        X = PROJECTIVE_PLANE
+        for _ in range(suspensions):
+            X = suspension(X)
+        top = 2 + suspensions
+        groups = groups_of(X, top)
+        assert groups[1 + suspensions] == (0, (2,))
+        assert all(g == (0, ()) for k, g in enumerate(groups) if k != 1 + suspensions)
+        assert groups == uncleared_groups(X, top)
+        # the boundary carrying the torsion did lose rows to clearing
+        entries, _ = smith_calls[2 + suspensions]
+        assert len({r for r, _ in entries}) < X.face_count(1 + suspensions)
+
+
+class TestCrossRoute:
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_cleared_smith_matches_uncleared_reference(self, X):
+        top = X.dim + 1
+        groups = groups_of(X, top)
+        assert groups == uncleared_groups(X, top)
+        assert [b for b, _ in groups] == [b for b, _ in groups_of(X, top, method="rank")]
+
+    @given(complexes(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_vertex_relabelling(self, X, rng):
+        labels = sorted(X.vertices)
+        image = rng.sample(range(3 * len(labels)), len(labels))
+        relabel = dict(zip(labels, image))
+        Y = SimplicialComplex([{relabel[v] for v in f} for f in X.facets])
+        assert groups_of(Y, X.dim + 1) == groups_of(X, X.dim + 1)
+
+    @given(complexes(max_n=6))
+    @settings(max_examples=100, deadline=None)
+    def test_suspension_shifts_up_one_degree(self, X):
+        top = X.dim + 1
+        lifted = groups_of(suspension(X), top + 1)
+        assert lifted[0] == (0, ()) and lifted[1:] == groups_of(X, top)

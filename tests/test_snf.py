@@ -104,8 +104,11 @@ class TestUnitPivotPhase:
         matrix = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 6, 0], [1, 0, 0, 4]]
         form = smith_normal_form(entries_of(matrix))
         assert list(form.factors) == minors_gcd_smith(matrix) == [1, 2, 2, 12]
+        # the residual's pivots are not unit pivots, so they clear nothing
+        assert len(form.unit_pivot_cols) < form.rank
         (residual,) = residuals
         assert residual
+        assert not form.unit_pivot_cols & {c for row in residual.values() for c in row}
         assert all(v not in (1, -1) for row in residual.values() for v in row.values())
 
     def test_queen_boundary_leaves_no_residual(self, residuals):
@@ -115,6 +118,7 @@ class TestUnitPivotPhase:
         form = smith_normal_form(B.entries)
         assert form.rank == rank_over_rationals(B.entries)
         assert residuals == [{}]
+        assert len(form.unit_pivot_cols) == form.rank
 
 
 class TestRationalRank:
