@@ -4,21 +4,18 @@ connectivity certificates, graph invariants, and theorem verifiers."""
 from .graph import (
     Graph,
     chromatic_number,
-    common_neighborhood,
     complement,
     complete_graph,
     cycle_graph,
     induced_subgraph,
     king_graph,
     mycielskian,
-    neighborhood,
     path_graph,
     queen_graph,
     random_chordal_graph,
 )
-from .connectivity import CutReport, cut_components, disjoint_paths, min_vertex_cuts, vertex_connectivity
+from .connectivity import CutReport, cut_components, vertex_connectivity
 from .chordal import (
-    clique_decomposition,
     cut_apex_property,
     is_chordal,
     is_weakly_triangulated,
@@ -29,23 +26,14 @@ from .folds import FoldTrace, find_fold, fold_reduction, folds_onto_clique, is_s
 from .complexes import (
     SimplicialComplex,
     certify_connectivity,
-    extension_property,
-    has_face,
-    has_full_skeleton,
-    induced_subcomplex,
-    link,
     neighborhood_complex,
-    nerve,
-    star,
     suspension,
 )
 from .homology import (
     ConnectivityBound,
     HomologyReport,
-    betti_numbers,
     boundary_matrix,
     connectivity_of_complex,
-    homological_connectivity,
     reduced_homology,
 )
 from .errors import CapExceededError

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceededError
-from .graph import is_connected
 
 from . import connectivity as _connectivity
 
@@ -23,12 +22,6 @@ class ChordalityResult:
 
     def __bool__(self):
         return self.chordal
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    cliques: tuple
-    intersection_sizes: tuple
 
 
 @dataclass(frozen=True)
@@ -165,47 +158,6 @@ def maximal_cliques(G):
 def clique_number(G):
     """Size of a largest clique; 0 for the graph with no vertices."""
     return max((len(c) for c in maximal_cliques(G)), default=0)
-
-
-def clique_decomposition(G, start):
-    """Arrange the maximal cliques so each meets the union of its
-    predecessors in a clique.
-
-    Builds a maximum-weight spanning tree of the clique-intersection graph
-    (a clique tree) and emits cliques in the order the tree grows from
-    `start`; the running-intersection property makes every prefix
-    intersection equal the intersection with the parent clique.
-    """
-    res = is_chordal(G)
-    if not res.chordal:
-        raise ValueError(f"graph is not chordal; induced cycle {res.hole}")
-    if not is_connected(G):
-        raise ValueError("clique decomposition needs a connected graph")
-    cliques = maximal_cliques(G)
-    start = frozenset(start)
-    if start not in cliques:
-        raise ValueError("start is not a maximal clique")
-    k = len(cliques)
-    start_idx = cliques.index(start)
-    in_tree = {start_idx}
-    sequence = [cliques[start_idx]]
-    sizes = []
-    union = set(cliques[start_idx])
-    while len(in_tree) < k:
-        best = None
-        for j in range(k):
-            if j in in_tree:
-                continue
-            w = max(len(cliques[i] & cliques[j]) for i in in_tree)
-            if best is None or w > best[0] or (w == best[0] and j < best[1]):
-                best = (w, j)
-        _, j = best
-        in_tree.add(j)
-        inter = cliques[j] & union
-        sizes.append(len(inter))
-        sequence.append(cliques[j])
-        union |= cliques[j]
-    return CliqueDecomposition(tuple(sequence), tuple(sizes))
 
 
 def _induces_cycle(adj, subset):

@@ -112,54 +112,6 @@ def neighborhood_complex(G):
     return SimplicialComplex.from_faces(nbhds)
 
 
-def has_face(X, face):
-    face = frozenset(face)
-    return any(face <= f for f in X.facets)
-
-
-def link(X, face):
-    """Faces disjoint from `face` whose union with it is still a face."""
-    face = frozenset(face)
-    if not has_face(X, face):
-        raise ValueError(f"{sorted(face)} is not a face of the complex")
-    return SimplicialComplex.from_faces(f - face for f in X.facets if face <= f)
-
-
-def star(X, face):
-    """Faces whose union with `face` is a face; a cone, hence contractible."""
-    face = frozenset(face)
-    if not has_face(X, face):
-        raise ValueError(f"{sorted(face)} is not a face of the complex")
-    return SimplicialComplex(f for f in X.facets if face <= f)
-
-
-def induced_subcomplex(X, vertices):
-    """Faces contained in `vertices`."""
-    vertices = frozenset(vertices)
-    if X.is_void:
-        return X
-    return SimplicialComplex.from_faces(f & vertices for f in X.facets)
-
-
-def nerve(family):
-    """Nerve of an indexed family of sets.
-
-    Index subsets form a face exactly when their sets share a point. Facets
-    are computed dually: each point w contributes the index set of the
-    members containing w, and the maximal such sets are the facets.
-    """
-    family = [frozenset(s) for s in family]
-    points = set()
-    for s in family:
-        points |= s
-    duals = []
-    for w in sorted(points):
-        duals.append(frozenset(i for i, s in enumerate(family) if w in s))
-    if not duals:
-        return SimplicialComplex([frozenset()])
-    return SimplicialComplex.from_faces(duals)
-
-
 def suspension(X):
     """Join with two fresh apex vertices; shifts reduced homology up one."""
     if X.is_void:
@@ -168,39 +120,6 @@ def suspension(X):
     a, b = top + 1, top + 2
     facets = [f | {a} for f in X.facets] + [f | {b} for f in X.facets]
     return SimplicialComplex(facets)
-
-
-def has_full_skeleton(X, ground, k):
-    """Is every (k+1)-subset of `ground` a face of X?"""
-    if k < 0:
-        raise ValueError("skeleton dimension must be non-negative")
-    ground = sorted(set(ground))
-    return all(has_face(X, s) for s in combinations(ground, k + 1))
-
-
-def path_connected(X):
-    """Connectivity of the 1-skeleton; single-vertex complexes count, the
-    empty and void complexes do not."""
-    verts = X.vertices
-    if not verts:
-        return False
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for f in X.facets:
-        anchor = None
-        for v in sorted(f):
-            if anchor is None:
-                anchor = find(v)
-            else:
-                parent[find(v)] = anchor
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
 
 
 @dataclass(frozen=True)
@@ -244,30 +163,6 @@ def _extension_check(adj, v, depth):
             return ExtensionCheck(False, None, frozenset(subset))
         witnesses[frozenset(subset)] = min(candidates)
     return ExtensionCheck(True, witnesses, None)
-
-
-def extension_property(G, v, depth):
-    """True when every subset of N(v) with at most depth+1 vertices has a
-    common neighbor different from v."""
-    G.neighbors(v)
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    adj = {u: set(G.adjacency[u]) for u in range(G.n)}
-    return _extension_check(adj, v, depth)
-
-
-def neighbor_subcomplex_connected(G, v):
-    """Is the neighborhood complex of G - v, restricted to N(v), path
-    connected?"""
-    nv = G.neighbors(v)
-    if not nv:
-        raise ValueError("vertex has no neighbors")
-    rest = [u for u in range(G.n) if u != v]
-    sub = induced_subgraph(G, rest)
-    back = {i: rest[i] for i in range(len(rest))}
-    X = neighborhood_complex(sub)
-    target = frozenset(i for i, orig in back.items() if orig in nv)
-    return path_connected(induced_subcomplex(X, target))
 
 
 def certify_connectivity(G, order, k):

@@ -1,15 +1,13 @@
-"""Vertex connectivity, internally disjoint paths, minimum vertex cuts.
+"""Vertex connectivity with a witness cut, and the components of a cut.
 
-Everything runs on unit-capacity flows over the vertex-split digraph: vertex
-v becomes an arc in(v) -> out(v) of capacity one, each graph edge becomes a
-pair of opposite arcs between out- and in-nodes. Augmentation and path
-reconstruction break ties toward lower vertex indices, so results are
-reproducible.
+Connectivity runs on unit-capacity flows over the vertex-split digraph:
+vertex v becomes an arc in(v) -> out(v) of capacity one, each graph edge
+becomes a pair of opposite arcs between out- and in-nodes. Augmentation
+breaks ties toward lower vertex indices, so results are reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import connected_components, induced_subgraph, is_connected
 
@@ -18,8 +16,6 @@ from .graph import connected_components, induced_subgraph, is_connected
 class CutReport:
     kappa: int
     witness_cut: frozenset | None
-    all_min_cuts: tuple | None = None
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,13 @@ def _augment(cap, adjacency, src, snk):
 
 
 def _max_disjoint(G, s, t):
-    """(flow value, residual cap, adjacency, original cap) for s-t vertex flow."""
+    """(flow value, residual cap, adjacency) for s-t vertex flow."""
     cap, adjacency = _flow_network(G, s, t)
-    original = dict(cap)
     src, snk = _out(s), _inn(t)
     value = 0
     while _augment(cap, adjacency, src, snk):
         value += 1
-    return value, cap, adjacency, original
+    return value, cap, adjacency
 
 
 def _min_cut_from_residual(G, s, t, cap, adjacency):
@@ -116,39 +111,6 @@ def _min_cut_from_residual(G, s, t, cap, adjacency):
         if v != s and v != t and _inn(v) in reach and _out(v) not in reach:
             cut.add(v)
     return frozenset(cut)
-
-
-def disjoint_paths(G, s, t):
-    """A maximum family of internally disjoint s-t paths.
-
-    Cardinality equals the s-t vertex flow value; for adjacent s, t the
-    direct edge counts as one path.
-    """
-    if s == t:
-        raise ValueError("endpoints must be distinct")
-    G.neighbors(s)
-    G.neighbors(t)
-    value, cap, adjacency, original = _max_disjoint(G, s, t)
-    used = {}
-    for key, c0 in original.items():
-        spent = c0 - cap.get(key, 0)
-        if spent > 0:
-            used[key] = spent
-    paths = []
-    for _ in range(value):
-        node = _out(s)
-        trail = [s]
-        while node != _inn(t):
-            nxt = min(y for y in adjacency.get(node, ()) if used.get((node, y), 0) > 0)
-            used[(node, nxt)] -= 1
-            if used[(node, nxt)] == 0:
-                del used[(node, nxt)]
-            node = nxt
-            v = node // 2
-            if trail[-1] != v:
-                trail.append(v)
-        paths.append(trail)
-    return sorted(paths)
 
 
 def vertex_connectivity(G):
@@ -174,35 +136,11 @@ def vertex_connectivity(G):
                 continue
             if best is not None and best == 0:
                 break
-            value, cap, adjacency, _ = _max_disjoint(G, u, t)
+            value, cap, adjacency = _max_disjoint(G, u, t)
             if best is None or value < best:
                 best = value
                 witness = _min_cut_from_residual(G, u, t, cap, adjacency)
     return CutReport(best, witness)
-
-
-def min_vertex_cuts(G, limit=64):
-    """All vertex cuts of minimum size, by subset enumeration.
-
-    Returns a CutReport with `all_min_cuts` filled; `truncated` marks output
-    clipped at `limit`.
-    """
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    if G.is_complete():
-        raise ValueError("complete graph has no vertex cut")
-    report = vertex_connectivity(G)
-    k = report.kappa
-    cuts = []
-    truncated = False
-    for subset in combinations(range(G.n), k):
-        rest = [v for v in range(G.n) if v not in subset]
-        if not is_connected(induced_subgraph(G, rest)):
-            if len(cuts) == limit:
-                truncated = True
-                break
-            cuts.append(frozenset(subset))
-    return CutReport(k, report.witness_cut, tuple(cuts), truncated)
 
 
 def cut_components(G, cut):

@@ -13,8 +13,6 @@ from itertools import combinations
 
 from .errors import CapExceededError
 
-VertexSet = frozenset
-
 
 class Graph:
     """Immutable simple graph. Equality and hashing use (n, edges) only."""
@@ -93,12 +91,6 @@ class Graph:
             labels = {int(k): str(v) for k, v in obj["labels"].items()}
         return cls(int(obj["n"]), [tuple(e) for e in obj["edges"]], labels)
 
-    def to_edge_list(self):
-        """Plain-text edge list: `n <count>` line, then `e <u> <v>` lines."""
-        lines = [f"n {self.n}"]
-        lines.extend(f"e {u} {v}" for u, v in self.sorted_edges())
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_edge_list(cls, text):
         n = None
@@ -121,19 +113,6 @@ class Graph:
         if n is None:
             raise ValueError("missing vertex-count line `n <count>`")
         return cls(n, edges)
-
-
-def neighborhood(G, v):
-    """Set of vertices adjacent to v."""
-    return frozenset(G.neighbors(v))
-
-
-def common_neighborhood(G, vertices):
-    """Vertices adjacent to every member of `vertices`; all of V for the empty set."""
-    result = set(range(G.n))
-    for v in vertices:
-        result &= G.neighbors(v)
-    return frozenset(result)
 
 
 def connected_components(G):
@@ -267,47 +246,6 @@ def restricted_adjacency(G, members):
 def is_complete_on(adj, members):
     """Do the `members` form a clique under the adjacency map `adj`?"""
     return all(len(adj[v] & members) == len(members) - 1 for v in members)
-
-
-def degree_sequence(G):
-    return sorted(len(G.adjacency[v]) for v in range(G.n))
-
-
-def are_isomorphic(G, H, max_vertices=10):
-    """Brute-force isomorphism test for small graphs."""
-    if G.n != H.n or len(G.edges) != len(H.edges):
-        return False
-    if degree_sequence(G) != degree_sequence(H):
-        return False
-    if G.n > max_vertices:
-        raise CapExceededError(f"isomorphism search capped at {max_vertices} vertices")
-    adj_g, adj_h = G.adjacency, H.adjacency
-    degrees_h = [len(a) for a in adj_h]
-    mapping = [-1] * G.n
-    used = [False] * H.n
-
-    def extend(v):
-        if v == G.n:
-            return True
-        dv = len(adj_g[v])
-        for w in range(H.n):
-            if used[w] or degrees_h[w] != dv:
-                continue
-            ok = True
-            for u in range(v):
-                if ((u in adj_g[v]) != (mapping[u] in adj_h[w])):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
 
 
 def _greedy_clique(G):

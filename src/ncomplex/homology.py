@@ -71,7 +71,6 @@ class HomologyReport:
     groups: tuple            # HomologyGroup, dims 0..max_dim
     max_dim: int
     face_counts: tuple       # faces per dimension 0..max_dim
-    has_empty_face: bool = True
     source: str = ""
 
     def group(self, k):
@@ -128,19 +127,13 @@ def _reduce(entries, method, cleared):
 
     The Smith route drops the rows in `cleared` first (see the module
     docstring). The rank route clears nothing, returns no pivots and sees
-    no torsion; "both" also runs it on the full matrix and insists the two
-    ranks agree.
+    no torsion.
     """
     if method == "rank":
         return rank_over_rationals(entries), (), frozenset()
-    if method not in ("smith", "both"):
+    if method != "smith":
         raise ValueError(f"unknown method {method!r}")
     form = smith_normal_form({rc: v for rc, v in entries.items() if rc[0] not in cleared})
-    if method == "both":
-        rational = rank_over_rationals(entries)
-        if rational != form.rank:
-            raise AssertionError(
-                f"rank mismatch between routes: smith={form.rank} rational={rational}")
     return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
 
 
@@ -168,7 +161,6 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     method="smith" computes invariant factors, so torsion is exact.
     method="rank" derives Betti numbers from fraction-free rank alone and
     reports no torsion; it exists as an independent cross-check.
-    method="both" runs the two and insists they agree.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -179,15 +171,8 @@ def reduced_homology(X, max_dim, method="smith", source=""):
         groups=tuple(islice(_homology_groups(X, method), max_dim + 1)),
         max_dim=max_dim,
         face_counts=counts[: max_dim + 1],
-        has_empty_face=not X.is_void,
         source=source,
     )
-
-
-def betti_numbers(X, max_dim):
-    """Betti numbers via the rank-only route."""
-    report = reduced_homology(X, max_dim, method="rank")
-    return [g.betti for g in report.groups]
 
 
 @dataclass(frozen=True)
@@ -197,21 +182,6 @@ class ConnectivityBound:
 
     def describe(self):
         return str(self.value) if self.exact else f"at least {self.value}"
-
-
-def homological_connectivity(report):
-    """One less than the smallest degree with nonzero reduced homology.
-
-    When every group through max_dim vanishes the result is the inexact
-    bound "at least max_dim". The empty complex (only the empty face) sits
-    at -2: its reduced homology lives in degree -1.
-    """
-    if report.face_counts and report.face_counts[0] == 0 and report.has_empty_face:
-        return ConnectivityBound(-2, True)
-    for g in report.groups:
-        if not g.is_zero:
-            return ConnectivityBound(g.dim - 1, True)
-    return ConnectivityBound(report.max_dim, False)
 
 
 def connectivity_of_complex(X, dim_cap, method="smith"):

@@ -68,10 +68,11 @@ def _unit_pivot_phase(rows, cols):
         row = rows.get(r)
         if row is None or len(row) != length:
             continue
-        units = [c for c, v in row.items() if v in (1, -1)]
-        if not units:
+        best = min(((len(cols[cc]), cc) for cc, v in row.items() if v in (1, -1)),
+                   default=None)
+        if best is None:
             continue
-        c = min(units, key=lambda cc: (len(cols[cc]), cc))
+        c = best[1]
         piv = row[c]
         prow = rows.pop(r)
         for c2 in prow:

@@ -292,10 +292,6 @@ def verify_counterexample():
     return report
 
 
-def fixture_counterexample():
-    return counterexample_graph(), verify_counterexample()
-
-
 def verify_board_simple_connectivity(max_m=4, max_n=4):
     """Extension-chain certificates at level 1 for queen and king boards,
     cross-checked by vanishing first homology."""
@@ -632,8 +628,3 @@ def run_verifier(which, seed=1, count=100, fold_cap=12):
     run, cap = VERIFIERS[which]
     return run(seed=seed, count=count if cap is None else min(count, cap),
                fold_cap=fold_cap)
-
-
-def run_all(seed=1, count=100, fold_cap=12):
-    return [run_verifier(which, seed=seed, count=count, fold_cap=fold_cap)
-            for which in VERIFIER_IDS]

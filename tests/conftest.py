@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's algorithms: chromatic
 numbers come from plain backtracking over color assignments, connectivity
-from exhaustive subset removal, Smith forms from gcds of minors. Tests pit
-the real implementations against these.
+and minimum cuts from exhaustive subset removal, Smith forms from gcds of
+minors, faces of a neighborhood complex from common neighborhoods and
+nerves. Tests pit the real implementations against these.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from ncomplex.complexes import SimplicialComplex
 from ncomplex.graph import Graph, induced_subgraph, is_connected
+from ncomplex.homology import ConnectivityBound
 
 
 @st.composite
@@ -96,6 +98,17 @@ def brute_force_kappa(G):
             if len(rest) >= 2 and not is_connected(induced_subgraph(G, rest)):
                 return size
     raise AssertionError("non-complete graph must have a cut")
+
+
+def brute_force_min_cuts(G):
+    """Every vertex cut of minimum size, by subset enumeration."""
+    if G.is_complete():
+        raise ValueError("complete graph has no vertex cut")
+    k = brute_force_kappa(G)
+    for subset in combinations(range(G.n), k):
+        rest = [v for v in range(G.n) if v not in subset]
+        if not is_connected(induced_subgraph(G, rest)):
+            yield frozenset(subset)
 
 
 def brute_force_min_separator(G, s, t):
@@ -180,13 +193,47 @@ def minors_gcd_smith(matrix):
     return factors
 
 
-def graph_count_isomorphisms(G, H):
-    """Number of isomorphisms, by permutation scan (tiny graphs)."""
-    if G.n != H.n:
-        return 0
-    count = 0
-    for perm in permutations(range(G.n)):
-        if all(H.has_edge(perm[u], perm[v]) for u, v in G.edges) \
-                and len(G.edges) == len(H.edges):
-            count += 1
-    return count
+def brute_force_isomorphic(G, H):
+    """Is some vertex permutation an isomorphism? By permutation scan (tiny graphs)."""
+    if G.n != H.n or len(G.edges) != len(H.edges):
+        return False
+    return any(all(H.has_edge(perm[u], perm[v]) for u, v in G.edges)
+               for perm in permutations(range(G.n)))
+
+
+def common_neighborhood(G, vertices):
+    """Vertices adjacent to every member of `vertices`; all of V for the empty set."""
+    result = set(range(G.n))
+    for v in vertices:
+        result &= G.adjacency[v]
+    return frozenset(result)
+
+
+def has_face(X, face):
+    """Is `face` inside some facet of X? Never for the void complex."""
+    return any(frozenset(face) <= f for f in X.facets)
+
+
+def nerve(family):
+    """Nerve of an indexed family of sets: index sets whose members share a
+    point. Each point contributes the indices of the members holding it, and
+    the maximal such sets are the facets."""
+    family = [frozenset(s) for s in family]
+    points = set().union(*family)
+    duals = [frozenset(i for i, s in enumerate(family) if w in s) for w in points]
+    if not duals:
+        return SimplicialComplex([frozenset()])
+    return SimplicialComplex.from_faces(duals)
+
+
+def homological_connectivity(report):
+    """Connectivity read off a full homology report of a non-void complex:
+    one less than the first degree with nonzero reduced homology, -2 for the
+    empty complex (its reduced homology sits in degree -1), and "at least
+    max_dim" when every group vanishes."""
+    if report.face_counts[0] == 0:
+        return ConnectivityBound(-2, True)
+    for g in report.groups:
+        if not g.is_zero:
+            return ConnectivityBound(g.dim - 1, True)
+    return ConnectivityBound(report.max_dim, False)

@@ -16,7 +16,7 @@ from ncomplex.graph import (
     path_graph,
     queen_graph,
 )
-from ncomplex.homology import betti_numbers, reduced_homology
+from ncomplex.homology import reduced_homology
 from ncomplex.verify import (
     QUEEN_HOMOLOGY_TABLE,
     board_removal_order,
@@ -165,7 +165,7 @@ def test_acceptance_oracle_equivalences():
     complexes.append(neighborhood_complex(counterexample_graph()))
     for i, X in enumerate(complexes):
         smith = [b for b, _ in groups_of(X, 3)]
-        if smith != betti_numbers(X, 3):
+        if smith != [b for b, _ in groups_of(X, 3, method="rank")]:
             betti_bad.append(i)
 
     ok = not (chordal_bad or kappa_bad or betti_bad)

@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 
 from ncomplex.chordal import (
-    clique_decomposition,
     cut_apex_property,
     is_chordal,
     is_weakly_triangulated,
@@ -11,7 +10,6 @@ from ncomplex.chordal import (
     maximal_cliques,
     simplicial_vertices,
 )
-from ncomplex.connectivity import min_vertex_cuts, vertex_connectivity
 from ncomplex.errors import CapExceededError
 from ncomplex.graph import (
     Graph,
@@ -25,7 +23,12 @@ from ncomplex.graph import (
     random_chordal_graph,
 )
 
-from conftest import brute_force_maximal_cliques, naive_chordal, seeded_graphs
+from conftest import (
+    brute_force_maximal_cliques,
+    brute_force_min_cuts,
+    naive_chordal,
+    seeded_graphs,
+)
 
 
 def verify_elimination_order(G, order):
@@ -118,56 +121,6 @@ class TestMaximalCliques:
         assert maximal_cliques(queen_graph(3, 2)) == brute_force_maximal_cliques(queen_graph(3, 2))
 
 
-class TestCliqueDecomposition:
-    def test_single_clique(self):
-        dec = clique_decomposition(complete_graph(4), frozenset(range(4)))
-        assert dec.cliques == (frozenset(range(4)),)
-        assert dec.intersection_sizes == ()
-
-    def test_two_triangles_sharing_edge(self):
-        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        dec = clique_decomposition(g, frozenset({0, 1, 2}))
-        assert dec.intersection_sizes == (2,)
-
-    def test_rejects_non_chordal(self):
-        with pytest.raises(ValueError, match="induced cycle"):
-            clique_decomposition(cycle_graph(5), frozenset({0, 1}))
-
-    def test_rejects_bad_start(self):
-        with pytest.raises(ValueError, match="maximal clique"):
-            clique_decomposition(complete_graph(4), frozenset({0, 1}))
-
-    def test_invariants_on_corpus(self):
-        from ncomplex.graph import induced_subgraph
-
-        for seed in range(1, 25):
-            g, _ = random_chordal_graph(5, (3, 6), 1, seed=seed)
-            if not is_connected(g):
-                continue
-            cliques = maximal_cliques(g)
-            dec = clique_decomposition(g, cliques[0])
-            assert sorted(dec.cliques, key=sorted) == cliques
-            union = set(dec.cliques[0])
-            adj = g.adjacency
-            for j, c in enumerate(dec.cliques[1:]):
-                inter = c & union
-                assert len(inter) == dec.intersection_sizes[j]
-                for a, b in combinations(sorted(inter), 2):
-                    assert b in adj[a]
-                union |= c
-                assert is_connected(induced_subgraph(g, union))
-
-    def test_intersections_at_least_connectivity(self):
-        # n-connected non-complete chordal graphs decompose with overlaps >= n
-        for seed in range(1, 40):
-            g, _ = random_chordal_graph(3, (4, 6), 2, seed=seed)
-            if g.is_complete() or not is_connected(g):
-                continue
-            kappa = vertex_connectivity(g).kappa
-            dec = clique_decomposition(g, maximal_cliques(g)[0])
-            assert all(s >= kappa for s in dec.intersection_sizes)
-
-
 class TestWeakTriangulation:
     def test_c5_fails(self):
         res = is_weakly_triangulated(cycle_graph(5))
@@ -208,8 +161,7 @@ class TestCutApexProperty:
             g, _ = random_chordal_graph(3, (3, 5), 1, seed=seed)
             if g.is_complete() or not is_connected(g):
                 continue
-            rep = min_vertex_cuts(g, limit=8)
-            for cut in rep.all_min_cuts:
+            for cut in brute_force_min_cuts(g):
                 assert cut_apex_property(g, cut)
 
 
@@ -226,6 +178,6 @@ class TestChordalColoring:
             if g.is_complete() or not is_connected(g) or g.n > 14:
                 continue
             adj = g.adjacency
-            for cut in min_vertex_cuts(g, limit=16).all_min_cuts:
+            for cut in brute_force_min_cuts(g):
                 for a, b in combinations(sorted(cut), 2):
                     assert b in adj[a]

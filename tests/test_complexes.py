@@ -5,32 +5,24 @@ from hypothesis import given, settings
 
 from ncomplex.complexes import (
     SimplicialComplex,
+    _extension_check,
     certify_connectivity,
-    extension_property,
-    has_face,
-    has_full_skeleton,
-    induced_subcomplex,
-    link,
-    neighbor_subcomplex_connected,
     neighborhood_complex,
-    nerve,
-    path_connected,
-    star,
     suspension,
 )
 from ncomplex.graph import (
     Graph,
-    common_neighborhood,
     complete_graph,
     cycle_graph,
     king_graph,
     queen_graph,
     random_chordal_graph,
+    restricted_adjacency,
 )
-from ncomplex.homology import reduced_homology
+from ncomplex.homology import connectivity_of_complex, reduced_homology
 from ncomplex.verify import board_removal_order
 
-from conftest import graphs, seeded_graphs
+from conftest import common_neighborhood, graphs, has_face, nerve, seeded_graphs
 
 HOLLOW_TRIANGLE = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
 
@@ -44,6 +36,16 @@ def assert_antichain(X):
 def groups_of(X, max_dim):
     rep = reduced_homology(X, max_dim)
     return [(g.betti, g.torsion) for g in rep.groups]
+
+
+def has_full_skeleton(X, ground, k):
+    """Is every (k+1)-subset of `ground` a face of X?"""
+    return all(has_face(X, s) for s in combinations(sorted(ground), k + 1))
+
+
+def extension_check(g, v, depth):
+    """The extension check of `v` at `depth` within the whole graph."""
+    return _extension_check(restricted_adjacency(g, frozenset(range(g.n))), v, depth)
 
 
 class TestSimplicialComplex:
@@ -98,12 +100,7 @@ class TestNeighborhoodComplex:
         if X.is_void:
             return
         assert_antichain(suspension(X))
-        assert_antichain(induced_subcomplex(X, set(range(0, g.n, 2))))
         assert_antichain(nerve([g.adjacency[v] for v in range(g.n)]))
-        some_vertex = min(X.vertices, default=None)
-        if some_vertex is not None:
-            assert_antichain(link(X, (some_vertex,)))
-            assert_antichain(star(X, (some_vertex,)))
 
     def test_faces_have_common_neighbors(self):
         for g in seeded_graphs(25, 7, seed=3, density=0.5):
@@ -130,51 +127,6 @@ class TestFaceQueries:
     def test_square_has_no_adjacent_pair(self):
         X = neighborhood_complex(cycle_graph(4))
         assert not has_face(X, (0, 1))
-
-
-class TestLinkAndStar:
-    def test_link_of_facet_is_empty_complex(self):
-        X = SimplicialComplex([(0, 1, 2)])
-        assert link(X, (0, 1, 2)).facets == {frozenset()}
-
-    def test_link_of_nothing_is_whole(self):
-        assert link(HOLLOW_TRIANGLE, ()) == HOLLOW_TRIANGLE
-
-    def test_link_of_triangle_vertex(self):
-        L = link(HOLLOW_TRIANGLE, (0,))
-        assert L.facets == {frozenset({1}), frozenset({2})}
-
-    def test_link_requires_membership(self):
-        with pytest.raises(ValueError):
-            link(HOLLOW_TRIANGLE, (0, 1, 2))
-
-    def test_star_of_nothing(self):
-        assert star(HOLLOW_TRIANGLE, ()) == HOLLOW_TRIANGLE
-
-    def test_star_is_contractible(self):
-        X = neighborhood_complex(queen_graph(2, 3))
-        S = star(X, (0,))
-        assert all(b == 0 and not t for b, t in groups_of(S, 2))
-
-    def test_star_of_facet(self):
-        X = SimplicialComplex([(0, 1), (1, 2)])
-        assert star(X, (0, 1)).facets == {frozenset({0, 1})}
-
-
-class TestInducedSubcomplex:
-    def test_whole_and_nothing(self):
-        X = HOLLOW_TRIANGLE
-        assert induced_subcomplex(X, {0, 1, 2}) == X
-        assert induced_subcomplex(X, set()).facets == {frozenset()}
-
-    def test_brute_force_face_agreement(self):
-        g = queen_graph(2, 2)
-        X = neighborhood_complex(g)
-        S = {0, 1, 2}
-        Y = induced_subcomplex(X, S)
-        for size in range(0, 4):
-            for sub in combinations(sorted(S), size):
-                assert has_face(Y, sub) == has_face(X, sub)
 
 
 class TestNerve:
@@ -255,14 +207,14 @@ class TestSkeleton:
 class TestExtensionProperty:
     def test_star_center_fails(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        chk = extension_property(g, 0, 0)
+        chk = extension_check(g, 0, 0)
         assert not chk.holds and len(chk.failing_subset) == 1
 
     def test_twin_always_passes(self):
         # K4 minus a perfect matching: 0,2 and 1,3 are twins
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         for depth in range(4):
-            chk = extension_property(g, 0, depth)
+            chk = extension_check(g, 0, depth)
             assert chk.holds
             assert all(v != 0 for v in chk.witnesses.values())
 
@@ -285,7 +237,7 @@ class TestExtensionProperty:
                 sub = induced_subgraph(g, rest)
                 if (vertex_connectivity(sub).kappa >= n
                         and chromatic_number(sub) == chi and n >= 1):
-                    assert extension_property(g, v, n - 1).holds
+                    assert extension_check(g, v, n - 1).holds
                     checked += 1
         assert checked > 5
 
@@ -296,7 +248,7 @@ class TestExtensionProperty:
                 if g.degree(v) > 8:
                     continue
                 for depth in (0, 1, 2):
-                    fast = extension_property(g, v, depth).holds
+                    fast = extension_check(g, v, depth).holds
                     nv = sorted(g.adjacency[v])
                     slow = True
                     for size in range(0, min(depth + 1, len(nv)) + 1):
@@ -308,31 +260,11 @@ class TestExtensionProperty:
 
     def test_witnesses_are_common_neighbors(self):
         g = queen_graph(3, 3)
-        chk = extension_property(g, 4, 1)
+        chk = extension_check(g, 4, 1)
         assert chk.holds
         for subset, w in chk.witnesses.items():
             assert w != 4
             assert subset <= g.adjacency[w]
-
-
-class TestNeighborSubcomplexConnected:
-    def test_queen_growth_steps(self):
-        for p, q in [(2, 2), (3, 2), (3, 3)]:
-            g = queen_graph(p, q + 1)
-            # last added square of the widened board
-            v = p * (q + 1) - 1
-            assert neighbor_subcomplex_connected(g, v)
-
-    def test_two_triangles_sharing_vertex(self):
-        g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        assert not neighbor_subcomplex_connected(g, 0)
-
-    def test_complete(self):
-        assert neighbor_subcomplex_connected(complete_graph(4), 0)
-
-    def test_isolated_rejected(self):
-        with pytest.raises(ValueError):
-            neighbor_subcomplex_connected(Graph(2, [()][:0]), 0)
 
 
 class TestCertificates:
@@ -373,11 +305,12 @@ class TestCertificates:
 
 
 class TestPathConnected:
+    # a complex is path connected when its connectivity is at least 0
     def test_single_vertex(self):
-        assert path_connected(SimplicialComplex([(0,)]))
+        assert connectivity_of_complex(SimplicialComplex([(0,)]), 0).value >= 0
 
     def test_empty_not_connected(self):
-        assert not path_connected(SimplicialComplex([()]))
+        assert connectivity_of_complex(SimplicialComplex([()]), 0).value < 0
 
     def test_two_components(self):
-        assert not path_connected(SimplicialComplex([(0, 1), (2, 3)]))
+        assert connectivity_of_complex(SimplicialComplex([(0, 1), (2, 3)]), 0).value < 0

@@ -3,12 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from ncomplex.connectivity import (
-    cut_components,
-    disjoint_paths,
-    min_vertex_cuts,
-    vertex_connectivity,
-)
+from ncomplex.connectivity import _max_disjoint, cut_components, vertex_connectivity
 from ncomplex.graph import (
     Graph,
     complete_graph,
@@ -20,18 +15,18 @@ from ncomplex.graph import (
 )
 from ncomplex.verify import counterexample_graph
 
-from conftest import brute_force_kappa, brute_force_min_separator, graphs, seeded_graphs
+from conftest import (
+    brute_force_kappa,
+    brute_force_min_cuts,
+    brute_force_min_separator,
+    graphs,
+    seeded_graphs,
+)
 
 
-def assert_valid_paths(G, s, t, paths):
-    internal_seen = set()
-    for p in paths:
-        assert p[0] == s and p[-1] == t
-        assert all(G.has_edge(a, b) for a, b in zip(p, p[1:]))
-        inner = set(p[1:-1])
-        assert len(inner) == len(p) - 2
-        assert internal_seen.isdisjoint(inner)
-        internal_seen |= inner
+def flow_value(G, s, t):
+    """Size of a maximum family of internally disjoint s-t paths."""
+    return _max_disjoint(G, s, t)[0]
 
 
 class TestVertexConnectivity:
@@ -92,41 +87,28 @@ class TestVertexConnectivity:
 
 
 class TestDisjointPaths:
+    # the s-t flow value counts internally disjoint paths; for adjacent s, t
+    # the direct edge is one of them
     def test_complete(self):
-        paths = disjoint_paths(complete_graph(4), 0, 1)
-        assert len(paths) == 3
-        assert_valid_paths(complete_graph(4), 0, 1, paths)
-        assert [0, 1] in paths
+        assert flow_value(complete_graph(4), 0, 1) == 3
 
     def test_cycle_opposite(self):
-        paths = disjoint_paths(cycle_graph(4), 0, 2)
-        assert len(paths) == 2
-        assert_valid_paths(cycle_graph(4), 0, 2, paths)
+        assert flow_value(cycle_graph(4), 0, 2) == 2
 
     def test_path_endpoints(self):
-        assert disjoint_paths(path_graph(4), 0, 3) == [[0, 1, 2, 3]]
-
-    def test_same_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            disjoint_paths(cycle_graph(4), 1, 1)
-
-    def test_deterministic(self):
-        g = counterexample_graph()
-        assert disjoint_paths(g, 0, 11) == disjoint_paths(g, 0, 11)
+        assert flow_value(path_graph(4), 0, 3) == 1
 
     def test_adjacent_pairs_against_edge_deleted_oracle(self):
-        # for s ~ t the family is the direct edge plus a maximum family in
+        # for s ~ t the value is the direct edge plus a maximum family in
         # the graph without that edge
         checked = 0
         for g in seeded_graphs(40, 7, seed=67, density=0.5):
             pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n)
                      if g.has_edge(s, t)]
             for s, t in pairs[:3]:
-                paths = disjoint_paths(g, s, t)
-                assert_valid_paths(g, s, t, paths)
                 pruned = Graph(g.n, set(g.edges) - {(min(s, t), max(s, t))})
                 expected = 1 + brute_force_min_separator(pruned, s, t)
-                assert len(paths) == expected
+                assert flow_value(g, s, t) == expected
                 checked += 1
         assert checked > 30
 
@@ -138,30 +120,25 @@ class TestDisjointPaths:
             pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n)
                      if not g.has_edge(s, t)]
             for s, t in pairs[:4]:
-                paths = disjoint_paths(g, s, t)
-                assert_valid_paths(g, s, t, paths)
-                assert len(paths) == brute_force_min_separator(g, s, t)
+                assert flow_value(g, s, t) == brute_force_min_separator(g, s, t)
                 checked += 1
         assert checked > 50
 
 
 class TestMinCuts:
+    # the oracle's minimum cuts, and the witness cut among them
     def test_cycle4(self):
-        rep = min_vertex_cuts(cycle_graph(4))
-        assert sorted(sorted(c) for c in rep.all_min_cuts) == [[0, 2], [1, 3]]
-        assert not rep.truncated
+        cuts = list(brute_force_min_cuts(cycle_graph(4)))
+        assert sorted(sorted(c) for c in cuts) == [[0, 2], [1, 3]]
+        assert vertex_connectivity(cycle_graph(4)).witness_cut in cuts
 
     def test_path(self):
-        rep = min_vertex_cuts(path_graph(3))
-        assert list(rep.all_min_cuts) == [frozenset({1})]
+        assert list(brute_force_min_cuts(path_graph(3))) == [frozenset({1})]
+        assert vertex_connectivity(path_graph(3)).witness_cut == frozenset({1})
 
     def test_complete_rejected(self):
         with pytest.raises(ValueError):
-            min_vertex_cuts(complete_graph(3))
-
-    def test_truncation_flag(self):
-        rep = min_vertex_cuts(cycle_graph(6), limit=2)
-        assert rep.truncated and len(rep.all_min_cuts) == 2
+            next(brute_force_min_cuts(complete_graph(3)))
 
 
 class TestCutComponents:

@@ -1,7 +1,9 @@
 """The README's verifier table and the command line's choices follow the
-verifier table in `ncomplex.verify`."""
+verifier table in `ncomplex.verify`, and the README's quick tour runs."""
 import argparse
 import re
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 from ncomplex.cli import build_parser
@@ -31,3 +33,12 @@ def test_verify_choices_are_the_ids_aliases_and_all():
                     if isinstance(a, argparse._SubParsersAction))
     which = next(a for a in commands.choices["verify"]._actions if a.dest == "which")
     assert set(which.choices) == set(VERIFIER_IDS) | set(VERIFIER_ALIASES) | {"all"}
+
+
+def test_readme_quick_tour_runs_and_prints_what_it_says():
+    text = README.read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(from ncomplex import \*\n.*?)```", text, re.S).group(1)
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(compile(tour, "README quick tour", "exec"), {})
+    assert out.getvalue().splitlines() == ["['0', '0', '0', 'Z^11']", "8"]

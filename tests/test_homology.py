@@ -10,15 +10,13 @@ from ncomplex.errors import CapExceededError
 from ncomplex.graph import complete_graph, cycle_graph, queen_graph
 from ncomplex.homology import (
     ConnectivityBound,
-    betti_numbers,
     boundary_matrix,
     connectivity_of_complex,
-    homological_connectivity,
     reduced_homology,
 )
 from ncomplex.snf import smith_normal_form
 
-from conftest import complexes, graphs, seeded_graphs
+from conftest import complexes, graphs, homological_connectivity, seeded_graphs
 
 HOLLOW_TRIANGLE = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
 SOLID_TRIANGLE = SimplicialComplex([(0, 1, 2)])
@@ -143,10 +141,8 @@ class TestReducedHomology:
         for g in seeded_graphs(25, 8, seed=7, density=0.5):
             X = neighborhood_complex(g)
             smith = groups_of(X, 3)
-            rank = betti_numbers(X, 3)
-            assert [b for b, _ in smith] == rank
-            # method="both" cross-checks ranks internally
-            reduced_homology(X, 3, method="both")
+            rank = groups_of(X, 3, method="rank")
+            assert [b for b, _ in smith] == [b for b, _ in rank]
 
     def test_euler_characteristic(self):
         for X in (HOLLOW_TRIANGLE, SOLID_TRIANGLE, PROJECTIVE_PLANE,
@@ -183,27 +179,24 @@ class TestReducedHomology:
 
 class TestConnectivity:
     def test_queen_2x2(self):
-        rep = reduced_homology(neighborhood_complex(queen_graph(2, 2)), 3)
-        bound = homological_connectivity(rep)
+        bound = connectivity_of_complex(neighborhood_complex(queen_graph(2, 2)), 3)
         assert bound == ConnectivityBound(1, True)
 
     def test_disconnected(self):
-        rep = reduced_homology(neighborhood_complex(cycle_graph(4)), 2)
-        assert homological_connectivity(rep) == ConnectivityBound(-1, True)
+        bound = connectivity_of_complex(neighborhood_complex(cycle_graph(4)), 2)
+        assert bound == ConnectivityBound(-1, True)
 
     def test_complete_graph_value(self):
-        rep = reduced_homology(neighborhood_complex(complete_graph(5)), 3)
-        assert homological_connectivity(rep) == ConnectivityBound(2, True)
+        bound = connectivity_of_complex(neighborhood_complex(complete_graph(5)), 3)
+        assert bound == ConnectivityBound(2, True)
 
     def test_saturated_report(self):
-        rep = reduced_homology(SOLID_TRIANGLE, 2)
-        bound = homological_connectivity(rep)
+        bound = connectivity_of_complex(SOLID_TRIANGLE, 2)
         assert bound == ConnectivityBound(2, False)
         assert bound.describe() == "at least 2"
 
     def test_empty_complex(self):
-        rep = reduced_homology(SimplicialComplex([()]), 1)
-        assert homological_connectivity(rep) == ConnectivityBound(-2, True)
+        assert connectivity_of_complex(SimplicialComplex([()]), 1) == ConnectivityBound(-2, True)
 
     def test_incremental_matches_full(self):
         for g in seeded_graphs(20, 8, seed=19, density=0.5):
