@@ -180,15 +180,20 @@ def _induces_cycle(adj, subset):
     return len(seen) == len(sub)
 
 
-def is_weakly_triangulated(G, max_vertices=16):
+# Largest graph the weak-triangulation search accepts: it visits every
+# vertex subset of size five or more.
+WEAK_TRIANGULATION_CAP = 16
+
+
+def is_weakly_triangulated(G):
     """No induced cycle of length >= 5 and no induced complement of one.
 
     Exhaustive over vertex subsets, so the witness doubles as the
-    certificate; refuses graphs above `max_vertices`.
+    certificate; refuses graphs above WEAK_TRIANGULATION_CAP.
     """
-    if G.n > max_vertices:
-        raise CapExceededError(
-            f"weak-triangulation search capped at {max_vertices} vertices (got {G.n})")
+    if G.n > WEAK_TRIANGULATION_CAP:
+        raise CapExceededError(f"weak-triangulation search capped at "
+                               f"{WEAK_TRIANGULATION_CAP} vertices (got {G.n})")
     adj = G.adjacency
     co_adj = tuple(frozenset(range(G.n)) - adj[v] - {v} for v in range(G.n))
     for size in range(5, G.n + 1):

@@ -14,7 +14,7 @@ from .chordal import clique_number, is_chordal, is_weakly_triangulated
 from .complexes import SimplicialComplex, neighborhood_complex
 from .connectivity import vertex_connectivity
 from .errors import CapExceededError
-from .folds import fold_reduction, is_stiff
+from .folds import fold_reduction
 from .graph import (
     Graph,
     chromatic_number,
@@ -94,9 +94,9 @@ def _cmd_homology(args):
     return 0
 
 
-def _capped(fn, *fn_args, **fn_kwargs):
+def _capped(fn, G):
     try:
-        return fn(*fn_args, **fn_kwargs)
+        return fn(G)
     except CapExceededError:
         return "skipped(cap)"
 
@@ -112,14 +112,13 @@ def _cmd_analyze(args):
         "kappa": cut.kappa,
         "witness_cut": sorted(cut.witness_cut) if cut.witness_cut is not None else None,
         "chordal": chord.chordal,
-        "stiff": is_stiff(G),
+        "stiff": not trace.steps,
         "fold_steps": len(trace.steps),
         "max_clique_size": clique_number(G),
     }
-    wt = _capped(is_weakly_triangulated, G, max_vertices=args.wt_cap)
+    wt = _capped(is_weakly_triangulated, G)
     summary["weakly_triangulated"] = wt if isinstance(wt, str) else wt.holds
-    chi = _capped(chromatic_number, G, max_vertices=args.chi_cap)
-    summary["chromatic_number"] = chi
+    summary["chromatic_number"] = _capped(chromatic_number, G)
     _emit(json.dumps(summary, sort_keys=True, separators=(",", ":")), args.output)
     return 0
 
@@ -146,8 +145,7 @@ def _cmd_verify(args):
         if cap is not None and args.count > cap:
             print(f"note: {which} checks at most {cap} seeded instances, "
                   f"not --count {args.count}", file=sys.stderr)
-        reports.append(run_verifier(which, seed=args.seed, count=args.count,
-                                    fold_cap=args.fold_cap))
+        reports.append(run_verifier(which, seed=args.seed, count=args.count))
     if args.format == "table":
         lines = [_queen_grid(r) for r in reports if r.theorem_id == "queen-table"]
         for r in reports:
@@ -202,16 +200,12 @@ def build_parser():
 
     ana = sub.add_parser("analyze", help="summary of graph invariants")
     ana.add_argument("input")
-    ana.add_argument("--chi-cap", type=int, default=32)
-    ana.add_argument("--wt-cap", type=int, default=16)
     ana.add_argument("--output", default=None)
 
     ver = sub.add_parser("verify", help="run a verifier (or all of them)")
     ver.add_argument("which", choices=sorted(set(VERIFIER_IDS) | set(VERIFIER_ALIASES) | {"all"}))
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--count", type=int, default=100)
-    ver.add_argument("--fold-cap", type=int, default=12,
-                     help="vertex cap for exhaustive fold-sequence searches")
     ver.add_argument("--format", choices=("json", "table"), default="json")
     ver.add_argument("--output", default=None)
     return parser

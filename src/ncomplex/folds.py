@@ -24,10 +24,6 @@ class FoldDecision:
     trace: FoldTrace | None
 
 
-def _adjacency_map(G):
-    return {v: set(G.adjacency[v]) for v in range(G.n)}
-
-
 def _find_fold_in(adj, order):
     for u in order:
         nu = adj[u]
@@ -39,23 +35,20 @@ def _find_fold_in(adj, order):
 
 def find_fold(G):
     """Lexicographically smallest (u, v) with N(u) a subset of N(v), or None."""
-    return _find_fold_in(_adjacency_map(G), range(G.n))
+    return _find_fold_in(restricted_adjacency(G, frozenset(range(G.n))), range(G.n))
 
 
 def is_stiff(G):
     return find_fold(G) is None
 
 
-def fold_reduction(G, rule="min"):
-    """Fold greedily until stiff; `rule` picks the scan direction for ties."""
-    if rule not in ("min", "max"):
-        raise ValueError("rule must be 'min' or 'max'")
-    adj = _adjacency_map(G)
+def fold_reduction(G):
+    """Fold greedily until stiff, always taking the smallest fold pair."""
+    adj = restricted_adjacency(G, frozenset(range(G.n)))
     alive = sorted(adj)
     steps = []
     while True:
-        order = alive if rule == "min" else list(reversed(alive))
-        pair = _find_fold_in(adj, order)
+        pair = _find_fold_in(adj, alive)
         if pair is None:
             break
         u, v = pair
@@ -67,11 +60,16 @@ def fold_reduction(G, rule="min"):
     return FoldTrace(G, tuple(steps), induced_subgraph(G, alive), tuple(alive))
 
 
-def folds_onto_clique(G, p, exhaustive_cap=12):
+# Largest graph on which every fold sequence is searched; the search is
+# exponential in the vertex count.
+FOLD_SEARCH_CAP = 12
+
+
+def folds_onto_clique(G, p):
     """Can some fold sequence shrink G to a complete graph on p vertices?
 
     Greedy reduction is tried first (checking every intermediate state).
-    When that misses and the graph fits under `exhaustive_cap`, all fold
+    When that misses and the graph fits under FOLD_SEARCH_CAP, all fold
     sequences are searched with memoization on the surviving vertex set;
     otherwise the answer is "unknown".
     """
@@ -90,7 +88,7 @@ def folds_onto_clique(G, p, exhaustive_cap=12):
             trace = FoldTrace(G, tuple(prefix),
                               induced_subgraph(G, sorted(alive)), tuple(sorted(alive)))
             return FoldDecision("yes", trace)
-    if G.n > exhaustive_cap:
+    if G.n > FOLD_SEARCH_CAP:
         return FoldDecision("unknown", None)
 
     memo = {}

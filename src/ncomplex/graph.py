@@ -238,7 +238,11 @@ def induced_subgraph(G, vertices):
 
 
 def restricted_adjacency(G, members):
-    """Mutable neighbor sets of the subgraph on `members`, original indices."""
+    """Mutable neighbor sets of the subgraph on `members`, original indices.
+
+    `members` must be a set or frozenset: each neighborhood is intersected
+    with it.
+    """
     adj = G.adjacency
     return {v: set(adj[v] & members) for v in members}
 
@@ -263,23 +267,6 @@ def _greedy_clique(G):
         if len(clique) > len(best):
             best = frozenset(clique)
     return best
-
-
-def _dsatur_coloring(G):
-    """Greedy DSATUR coloring; returns (color count, coloring list)."""
-    adj = G.adjacency
-    colors = [-1] * G.n
-    neighbor_colors = [set() for _ in range(G.n)]
-    for _ in range(G.n):
-        v = max((u for u in range(G.n) if colors[u] == -1),
-                key=lambda u: (len(neighbor_colors[u]), len(adj[u]), -u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for w in adj[v]:
-            neighbor_colors[w].add(c)
-    return max(colors) + 1 if G.n else 0, colors
 
 
 def _colorable(G, k):
@@ -324,26 +311,28 @@ def _colorable(G, k):
     return solve(0, 0)
 
 
-def chromatic_number(G, max_vertices=32):
+# Largest graph whose chromatic number is computed; the exact search is
+# exponential in the vertex count.
+CHROMATIC_CAP = 32
+
+
+def chromatic_number(G):
     """Exact chromatic number by branch and bound.
 
-    Clique size gives the lower bound, DSATUR the upper; the gap is closed by
-    exact k-colorability tests. Inputs above `max_vertices` are refused
-    rather than approximated.
+    Clique size gives the starting count, raised until an exact
+    k-colorability test succeeds; its first descent is DSATUR, so the
+    search stops at once when the DSATUR count is optimal. Inputs above
+    CHROMATIC_CAP are refused rather than approximated.
     """
     if G.n < 1:
         raise ValueError("chromatic number needs at least one vertex")
-    if G.n > max_vertices:
+    if G.n > CHROMATIC_CAP:
         raise CapExceededError(
-            f"exact chromatic number capped at {max_vertices} vertices (got {G.n})")
-    if not G.edges:
-        return 1
-    lb = len(_greedy_clique(G))
-    ub, _ = _dsatur_coloring(G)
-    for k in range(lb, ub):
-        if _colorable(G, k):
-            return k
-    return ub
+            f"exact chromatic number capped at {CHROMATIC_CAP} vertices (got {G.n})")
+    k = len(_greedy_clique(G))
+    while not _colorable(G, k):
+        k += 1
+    return k
 
 
 def random_chordal_graph(num_cliques, size_range, overlap_min, seed):

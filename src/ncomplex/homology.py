@@ -194,7 +194,7 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
     """
     if X.is_void:
         return ConnectivityBound(dim_cap, False)
-    if X.face_count(0) == 0:
+    if not X.vertices:
         return ConnectivityBound(-2, True)
     for g in islice(_homology_groups(X, method), dim_cap + 1):
         if not g.is_zero:

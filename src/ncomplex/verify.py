@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import (
+    WEAK_TRIANGULATION_CAP,
     clique_number,
     cut_apex_property,
     is_chordal,
@@ -161,7 +162,7 @@ def random_chordal_corpus(count, seed):
     return out
 
 
-def random_graphs(count, max_n, seed, connected=False, min_n=2, density=0.5):
+def random_graphs(count, max_n, seed, connected=False, min_n=2):
     """Seeded Erdos-Renyi style graphs; optionally resampled until connected."""
     out = []
     for offset in range(count):
@@ -169,7 +170,7 @@ def random_graphs(count, max_n, seed, connected=False, min_n=2, density=0.5):
         for attempt in range(200):
             rng = random.Random(base * 1009 + attempt)
             n = rng.randint(min_n, max_n)
-            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = Graph(n, edges)
             if not connected or is_connected(g):
                 out.append((base, g))
@@ -259,17 +260,14 @@ def _side_connectivity(G, dim_cap):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_queen_table(cells=None, expected=None, max_dim=3):
+def verify_queen_table():
     """Reduced homology of queen-board complexes against the reference table."""
-    table = expected if expected is not None else QUEEN_HOMOLOGY_TABLE
     report = VerificationReport("queen-table")
-    for m, n in sorted(cells if cells is not None else table):
+    for (m, n), want_betti in sorted(QUEEN_HOMOLOGY_TABLE.items()):
         G = queen_graph(m, n)
-        hom = reduced_homology(neighborhood_complex(G), max_dim,
-                               source=f"queen-{m}x{n}")
+        hom = reduced_homology(neighborhood_complex(G), 3, source=f"queen-{m}x{n}")
         report.homology[(m, n)] = hom
-        want_betti = table[(m, n)]
-        want = [[want_betti[k], []] for k in range(max_dim + 1)]
+        want = [[b, []] for b in want_betti]
         got = group_data(hom)
         report.instances_checked += 1
         if got != want:
@@ -292,14 +290,14 @@ def verify_counterexample():
     return report
 
 
-def verify_board_simple_connectivity(max_m=4, max_n=4):
+def verify_board_simple_connectivity():
     """Extension-chain certificates at level 1 for queen and king boards,
     cross-checked by vanishing first homology."""
     report = VerificationReport("queen-king")
     gens = {"queen": queen_graph, "king": king_graph}
     for kind in ("queen", "king"):
-        for m in range(2, max_m + 1):
-            for n in range(2, max_n + 1):
+        for m in range(2, 5):
+            for n in range(2, 5):
                 G = gens[kind](m, n)
                 cert = certify_connectivity(G, board_removal_order(kind, m, n), 1)
                 hom = reduced_homology(neighborhood_complex(G), 1,
@@ -351,11 +349,9 @@ def _chordal_complex_connectivity(G):
         predicted = residual.n - 3
     else:
         predicted = vertex_connectivity(residual).kappa - 1
-    if predicted < -1:
-        # single-vertex residual: complex is just the empty face
-        bound = connectivity_of_complex(neighborhood_complex(G), 0)
-        return predicted, bound.exact and bound.value == predicted
-    bound = connectivity_of_complex(neighborhood_complex(G), predicted + 1)
+    # a single-vertex residual predicts -2: the complex is just the empty
+    # face, and the scan needs no degree at all to see it
+    bound = connectivity_of_complex(neighborhood_complex(G), max(predicted + 1, 0))
     return predicted, bound.exact and bound.value == predicted
 
 
@@ -422,7 +418,7 @@ def verify_stiff_chordal(count=100, seed=1):
     return report
 
 
-def verify_chordal_fold_connectivity(count=24, seed=1, fold_cap=12):
+def verify_chordal_fold_connectivity(count=24, seed=1):
     """Chordal graphs that do not fold onto the critical clique: the complex
     is n-connected both homologically and by certificate."""
     report = VerificationReport("chordal-connected", seed=seed)
@@ -432,12 +428,9 @@ def verify_chordal_fold_connectivity(count=24, seed=1, fold_cap=12):
         if g.is_complete():
             report.skip(f"seed {s}", "complete graph")
             continue
-        if g.n > fold_cap:
-            report.skip(f"seed {s}", "beyond exhaustive fold cap")
-            continue
         kappa = vertex_connectivity(g).kappa
         n = kappa - 1
-        decision = folds_onto_clique(g, n + 2, exhaustive_cap=fold_cap)
+        decision = folds_onto_clique(g, n + 2)
         if decision.status != "no":
             report.skip(f"seed {s}", f"folds onto clique of size {n + 2}: {decision.status}")
             continue
@@ -552,7 +545,7 @@ def verify_cut_bounds(instances=None):
         union_certified = is_chordal(G).chordal
         # route through the weak-triangulation theorem where it applies: an
         # anticonnected minimal cut must see an apex in every component
-        if shared and G.n <= 16 and not union_certified:
+        if shared and G.n <= WEAK_TRIANGULATION_CAP and not union_certified:
             wt = is_weakly_triangulated(G)
             co_connected = is_connected(induced_subgraph(complement(G), sorted(shared)))
             if wt.holds and co_connected:
@@ -598,18 +591,17 @@ def verify_cut_bounds(instances=None):
 # driver
 # ---------------------------------------------------------------------------
 
-# id -> (run(seed=, count=, fold_cap=), count cap). A verifier with a cap
-# never checks more than that many seeded instances, whatever `count` asks.
+# id -> (run(seed=, count=), count cap). A verifier with a cap never checks
+# more than that many seeded instances, whatever `count` asks.
 VERIFIERS = {
     "queen-table": (lambda **_: verify_queen_table(), None),
     "counterexample": (lambda **_: verify_counterexample(), None),
     "queen-king": (lambda **_: verify_board_simple_connectivity(), None),
-    "mycielskian": (lambda seed, count, **_: verify_mycielskian_shift(count, seed), 20),
-    "lovasz-bound": (lambda seed, count, **_: verify_lovasz_bound(count, seed), None),
-    "chordal-main": (lambda seed, count, **_: verify_stiff_chordal(count, seed), None),
+    "mycielskian": (lambda seed, count: verify_mycielskian_shift(count, seed), 20),
+    "lovasz-bound": (lambda seed, count: verify_lovasz_bound(count, seed), None),
+    "chordal-main": (lambda seed, count: verify_stiff_chordal(count, seed), None),
     "chordal-connected": (
-        lambda seed, count, fold_cap: verify_chordal_fold_connectivity(count, seed, fold_cap),
-        24),
+        lambda seed, count: verify_chordal_fold_connectivity(count, seed), 24),
     "cut-complete": (lambda **_: verify_clique_cut(), None),
     "cut-bounds": (lambda **_: verify_cut_bounds(), None),
 }
@@ -619,12 +611,10 @@ VERIFIER_IDS = tuple(VERIFIERS)
 VERIFIER_ALIASES = {"table1": "queen-table"}
 
 
-def run_verifier(which, seed=1, count=100, fold_cap=12):
-    """Run one verifier by id; `seed`, `count` and `fold_cap` apply where
-    meaningful."""
+def run_verifier(which, seed=1, count=100):
+    """Run one verifier by id; `seed` and `count` apply where meaningful."""
     which = VERIFIER_ALIASES.get(which, which)
     if which not in VERIFIERS:
         raise ValueError(f"unknown verifier {which!r}")
     run, cap = VERIFIERS[which]
-    return run(seed=seed, count=count if cap is None else min(count, cap),
-               fold_cap=fold_cap)
+    return run(seed=seed, count=count if cap is None else min(count, cap))

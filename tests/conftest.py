@@ -56,6 +56,12 @@ def seeded_graphs(count, max_n, seed, min_n=2, density=0.5, connected=False):
     return out
 
 
+def reversed_labels(G):
+    """G with vertex v renamed n-1-v: greedy folding of it scans the
+    original vertices from the largest down, a second fold order."""
+    return Graph(G.n, [(G.n - 1 - u, G.n - 1 - v) for u, v in G.edges])
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from ncomplex.verify import (
     verify_stiff_chordal,
 )
 
-from conftest import brute_force_kappa, naive_chordal, seeded_graphs
+from conftest import brute_force_kappa, naive_chordal, reversed_labels, seeded_graphs
 
 
 def report_line(name, ok, detail=""):
@@ -101,8 +101,8 @@ def test_acceptance_fold_invariance():
     corpus += seeded_graphs(40, 10, seed=201, min_n=4, density=0.55)
     assert len(corpus) == 100
     for i, g in enumerate(corpus):
-        low = fold_reduction(g, rule="min")
-        high = fold_reduction(g, rule="max")
+        low = fold_reduction(g)
+        high = fold_reduction(reversed_labels(g))
         base = groups_of(neighborhood_complex(g), 4)
         a = groups_of(neighborhood_complex(low.result), 4)
         b = groups_of(neighborhood_complex(high.result), 4)

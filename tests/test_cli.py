@@ -8,6 +8,7 @@ import pytest
 
 import ncomplex
 from ncomplex.cli import main
+from ncomplex.graph import complete_graph
 
 
 def run_cli(capsys, *argv):
@@ -145,10 +146,12 @@ class TestAnalyze:
         assert payload["weakly_triangulated"] is False
 
     def test_caps_reported(self, capsys, tmp_path):
-        path = tmp_path / "c20.json"
-        _, out, _ = run_cli(capsys, "gen", "cycle", "20")
+        # 33 vertices exceed both CHROMATIC_CAP and WEAK_TRIANGULATION_CAP
+        path = tmp_path / "c33.json"
+        _, out, _ = run_cli(capsys, "gen", "cycle", "33")
         path.write_text(out)
-        code, out, _ = run_cli(capsys, "analyze", str(path), "--chi-cap", "10")
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
         payload = json.loads(out)
         assert payload["chromatic_number"] == "skipped(cap)"
         assert payload["weakly_triangulated"] == "skipped(cap)"
@@ -191,10 +194,17 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", "chordal-main", "--count", "6", "--seed", "2")
         assert out1 == out2
 
-    def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "counterexample", "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_flag_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k3.json"
+        path.write_text(complete_graph(3).to_json())
+        # the search caps are module constants, not flags
+        for argv in (["verify", "counterexample", "--bogus"],
+                     ["verify", "chordal-connected", "--fold-cap", "5"],
+                     ["analyze", str(path), "--chi-cap", "10"],
+                     ["analyze", str(path), "--wt-cap", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """The README's verifier table and the command line's choices follow the
-verifier table in `ncomplex.verify`, and the README's quick tour runs."""
+verifier table in `ncomplex.verify`, the README's quick tour runs, and its
+command lines parse."""
 import argparse
 import re
+import shlex
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -33,6 +35,17 @@ def test_verify_choices_are_the_ids_aliases_and_all():
                     if isinstance(a, argparse._SubParsersAction))
     which = next(a for a in commands.choices["verify"]._actions if a.dest == "which")
     assert set(which.choices) == set(VERIFIER_IDS) | set(VERIFIER_ALIASES) | {"all"}
+
+
+def test_readme_commands_parse():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[words.index("ncomplex") + 1:] for words in commands
+                if "ncomplex" in words]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_readme_quick_tour_runs_and_prints_what_it_says():

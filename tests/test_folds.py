@@ -1,12 +1,18 @@
 from hypothesis import given, settings
 
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.folds import find_fold, fold_reduction, folds_onto_clique, is_stiff
+from ncomplex.folds import (
+    FOLD_SEARCH_CAP,
+    find_fold,
+    fold_reduction,
+    folds_onto_clique,
+    is_stiff,
+)
 from ncomplex.graph import Graph, complete_graph, cycle_graph, path_graph
 from ncomplex.homology import reduced_homology
 from ncomplex.verify import counterexample_graph
 
-from conftest import graphs, seeded_graphs
+from conftest import graphs, reversed_labels, seeded_graphs
 
 
 class TestFindFold:
@@ -64,8 +70,8 @@ class TestFoldReduction:
 
     def test_two_orders_give_homology_equal_residuals(self):
         for g in seeded_graphs(40, 9, seed=23, density=0.45):
-            low = fold_reduction(g, rule="min").result
-            high = fold_reduction(g, rule="max").result
+            low = fold_reduction(g).result
+            high = fold_reduction(reversed_labels(g)).result
             a = reduced_homology(neighborhood_complex(low), 3)
             b = reduced_homology(neighborhood_complex(high), 3)
             assert [(x.betti, x.torsion) for x in a.groups] == \
@@ -94,7 +100,9 @@ class TestFoldsOntoClique:
         assert folds_onto_clique(cycle_graph(5), 2).status == "no"
 
     def test_unknown_above_cap(self):
-        assert folds_onto_clique(cycle_graph(7), 2, exhaustive_cap=5).status == "unknown"
+        g = cycle_graph(13)
+        assert is_stiff(g) and g.n > FOLD_SEARCH_CAP
+        assert folds_onto_clique(g, 2).status == "unknown"
 
     def test_target_larger_than_graph(self):
         assert folds_onto_clique(cycle_graph(4), 9).status == "no"

@@ -91,14 +91,17 @@ class TestOrders:
 
 
 class TestVerifiers:
-    def test_queen_table_subset(self):
-        report = verify_queen_table(cells=[(2, 2), (3, 3)])
+    def test_queen_table_subset(self, monkeypatch):
+        import ncomplex.verify
+        cells = {c: QUEEN_HOMOLOGY_TABLE[c] for c in [(2, 2), (3, 3)]}
+        monkeypatch.setattr(ncomplex.verify, "QUEEN_HOMOLOGY_TABLE", cells)
+        report = verify_queen_table()
         assert report.passed and report.instances_checked == 2
 
-    def test_queen_table_failure_round_trip(self):
-        doctored = dict(QUEEN_HOMOLOGY_TABLE)
-        doctored[(2, 2)] = (0, 0, 7, 0)
-        report = verify_queen_table(cells=[(2, 2)], expected=doctored)
+    def test_queen_table_failure_round_trip(self, monkeypatch):
+        import ncomplex.verify
+        monkeypatch.setattr(ncomplex.verify, "QUEEN_HOMOLOGY_TABLE", {(2, 2): (0, 0, 7, 0)})
+        report = verify_queen_table()
         assert not report.passed
         record = report.failures[0]
         reloaded = Graph.from_json(json.dumps(record["graph"]))
@@ -110,8 +113,8 @@ class TestVerifiers:
         assert verify_counterexample().passed
 
     def test_boards(self):
-        report = verify_board_simple_connectivity(max_m=3, max_n=3)
-        assert report.passed and report.instances_checked == 8
+        report = verify_board_simple_connectivity()
+        assert report.passed and report.instances_checked == 18
 
     def test_mycielskian(self):
         report = verify_mycielskian_shift(count=5, seed=3)
