@@ -3,15 +3,20 @@
 Recognition runs lexicographic BFS and validates the resulting elimination
 order directly, so a True answer carries its own certificate. A False answer
 comes with an induced cycle of length at least four.
+
+One hole search serves chordality (a chordless cycle of four or more
+vertices) and weak triangulation (one of five or more, in G or in its
+complement; Hayward 1985). It joins the ends of each induced path on three
+or four vertices by a shortest path that avoids the closed neighborhoods of
+the path's interior, so it takes polynomial time and needs no vertex cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceededError
-
 from . import connectivity as _connectivity
+from .graph import complement
 
 
 @dataclass(frozen=True)
@@ -77,38 +82,44 @@ def _is_elimination_order(G, order):
     return True
 
 
-def _find_hole(G):
-    """An induced cycle of length >= 4, for non-chordal G.
+def _find_hole(G, length):
+    """A chordless cycle of at least `length` (4 or 5) vertices, or None.
 
-    For some midpoint v with non-adjacent neighbors u, w, any shortest u-w
-    path avoiding the rest of N[v] closes up with v into a chordless cycle.
+    Every such cycle contains an induced path a-...-d on `length` - 1
+    vertices: a vertex v between a and d for length 4, an edge b-c for
+    length 5. A shortest a-d path whose inner vertices avoid the closed
+    neighborhoods of that interior closes a chordless cycle with it.
     """
     adj = G.adjacency
-    for v in range(G.n):
-        nv = sorted(adj[v])
-        for u, w in combinations(nv, 2):
-            if w in adj[u]:
-                continue
-            allowed = (set(range(G.n)) - adj[v] - {v}) | {u, w}
-            parent = {u: None}
-            queue = [u]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                if x == w:
-                    break
-                for y in sorted(adj[x]):
-                    if y in allowed and y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            if w in parent:
-                path = []
-                x = w
-                while x is not None:
-                    path.append(x)
-                    x = parent[x]
-                return tuple([v] + path[::-1])
+    if length == 4:
+        interiors = [(v,) for v in range(G.n)]
+    else:
+        interiors = [(b, c) for b in range(G.n) for c in sorted(adj[b])]
+    for inner in interiors:
+        outside = set(range(G.n)).difference(inner, *(adj[x] for x in inner))
+        starts = adj[inner[0]].difference(*(adj[x] | {x} for x in inner[1:]))
+        ends = adj[inner[-1]].difference(*(adj[x] | {x} for x in inner[:-1]))
+        for a in sorted(starts):
+            for d in sorted(ends):
+                if d <= a or d in adj[a]:
+                    continue
+                allowed = outside | {a, d}
+                parent = {a: None}
+                queue = [a]
+                for x in queue:
+                    if x == d:
+                        break
+                    for y in sorted(adj[x]):
+                        if y in allowed and y not in parent:
+                            parent[y] = x
+                            queue.append(y)
+                if d in parent:
+                    path = []
+                    x = d
+                    while x is not None:
+                        path.append(x)
+                        x = parent[x]
+                    return inner[::-1] + tuple(path[::-1])
     return None
 
 
@@ -121,7 +132,7 @@ def is_chordal(G):
     order = tuple(reversed(lex_bfs_order(G)))
     if _is_elimination_order(G, order):
         return ChordalityResult(True, order, None)
-    hole = _find_hole(G)
+    hole = _find_hole(G, 4)
     return ChordalityResult(False, None, hole)
 
 
@@ -160,48 +171,16 @@ def clique_number(G):
     return max((len(c) for c in maximal_cliques(G)), default=0)
 
 
-def _induces_cycle(adj, subset):
-    sub = sorted(subset)
-    if len(sub) < 3:
-        return False
-    inside = set(sub)
-    for v in sub:
-        if len(adj[v] & inside) != 2:
-            return False
-    # 2-regular: a cycle iff connected
-    seen = {sub[0]}
-    stack = [sub[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x] & inside:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(sub)
-
-
-# Largest graph the weak-triangulation search accepts: it visits every
-# vertex subset of size five or more.
-WEAK_TRIANGULATION_CAP = 16
-
-
 def is_weakly_triangulated(G):
     """No induced cycle of length >= 5 and no induced complement of one.
 
-    Exhaustive over vertex subsets, so the witness doubles as the
-    certificate; refuses graphs above WEAK_TRIANGULATION_CAP.
+    A False answer carries the offending cycle in order, of G or of the
+    complement of G.
     """
-    if G.n > WEAK_TRIANGULATION_CAP:
-        raise CapExceededError(f"weak-triangulation search capped at "
-                               f"{WEAK_TRIANGULATION_CAP} vertices (got {G.n})")
-    adj = G.adjacency
-    co_adj = tuple(frozenset(range(G.n)) - adj[v] - {v} for v in range(G.n))
-    for size in range(5, G.n + 1):
-        for subset in combinations(range(G.n), size):
-            if _induces_cycle(adj, subset):
-                return WeakTriangulationResult(False, "cycle", subset)
-            if _induces_cycle(co_adj, subset):
-                return WeakTriangulationResult(False, "complement-of-cycle", subset)
+    for kind, H in (("cycle", G), ("complement-of-cycle", complement(G))):
+        hole = _find_hole(H, 5)
+        if hole is not None:
+            return WeakTriangulationResult(False, kind, hole)
     return WeakTriangulationResult(True)
 
 

@@ -94,13 +94,6 @@ def _cmd_homology(args):
     return 0
 
 
-def _capped(fn, G):
-    try:
-        return fn(G)
-    except CapExceededError:
-        return "skipped(cap)"
-
-
 def _cmd_analyze(args):
     G = _load_graph(args.input)
     cut = vertex_connectivity(G)
@@ -115,10 +108,12 @@ def _cmd_analyze(args):
         "stiff": not trace.steps,
         "fold_steps": len(trace.steps),
         "max_clique_size": clique_number(G),
+        "weakly_triangulated": is_weakly_triangulated(G).holds,
     }
-    wt = _capped(is_weakly_triangulated, G)
-    summary["weakly_triangulated"] = wt if isinstance(wt, str) else wt.holds
-    summary["chromatic_number"] = _capped(chromatic_number, G)
+    try:
+        summary["chromatic_number"] = chromatic_number(G)
+    except CapExceededError:
+        summary["chromatic_number"] = "skipped(cap)"
     _emit(json.dumps(summary, sort_keys=True, separators=(",", ":")), args.output)
     return 0
 

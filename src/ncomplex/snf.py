@@ -203,13 +203,16 @@ def rank_over_rationals(entries):
             row2 = rows[r2]
             b = row2.pop(c)
             if piv in (1, -1):
-                scale, mult = 1, b * piv
+                mult = b * piv
             else:
-                scale, mult = piv, b
-            for c2 in set(row2) | set(prow):
+                mult = b
+                for c2 in row2:
+                    row2[c2] *= piv
+            # columns outside prow keep their (scaled) entries
+            for c2, pv in prow.items():
                 if c2 == c:
                     continue
-                nv = scale * row2.get(c2, 0) - mult * prow.get(c2, 0)
+                nv = row2.get(c2, 0) - mult * pv
                 if nv == 0:
                     if c2 in row2:
                         del row2[c2]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import (
-    WEAK_TRIANGULATION_CAP,
     clique_number,
     cut_apex_property,
     is_chordal,
@@ -545,7 +544,7 @@ def verify_cut_bounds(instances=None):
         union_certified = is_chordal(G).chordal
         # route through the weak-triangulation theorem where it applies: an
         # anticonnected minimal cut must see an apex in every component
-        if shared and G.n <= WEAK_TRIANGULATION_CAP and not union_certified:
+        if shared and not union_certified:
             wt = is_weakly_triangulated(G)
             co_connected = is_connected(induced_subgraph(complement(G), sorted(shared)))
             if wt.holds and co_connected:

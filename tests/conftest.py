@@ -158,6 +158,32 @@ def naive_chordal(G):
     return True
 
 
+def brute_force_weakly_triangulated(G):
+    """No induced cycle of five or more vertices in G or in its complement,
+    by scanning every vertex subset of size five or more (small graphs only)."""
+    adj = G.adjacency
+    co_adj = tuple(frozenset(range(G.n)) - adj[v] - {v} for v in range(G.n))
+
+    def induces_cycle(nbrs, subset):
+        inside = set(subset)
+        if any(len(nbrs[v] & inside) != 2 for v in subset):
+            return False
+        # 2-regular: a cycle iff connected
+        seen = {subset[0]}
+        stack = [subset[0]]
+        while stack:
+            for y in nbrs[stack.pop()] & inside:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == len(subset)
+
+    return not any(induces_cycle(nbrs, subset)
+                   for size in range(5, G.n + 1)
+                   for subset in combinations(range(G.n), size)
+                   for nbrs in (adj, co_adj))
+
+
 def brute_force_maximal_cliques(G):
     """Maximal cliques by scanning every vertex subset (small graphs only)."""
     adj = G.adjacency

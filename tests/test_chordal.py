@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from ncomplex.chordal import (
     cut_apex_property,
@@ -10,7 +11,6 @@ from ncomplex.chordal import (
     maximal_cliques,
     simplicial_vertices,
 )
-from ncomplex.errors import CapExceededError
 from ncomplex.graph import (
     Graph,
     chromatic_number,
@@ -26,6 +26,8 @@ from ncomplex.graph import (
 from conftest import (
     brute_force_maximal_cliques,
     brute_force_min_cuts,
+    brute_force_weakly_triangulated,
+    graphs,
     naive_chordal,
     seeded_graphs,
 )
@@ -49,6 +51,17 @@ def assert_induced_cycle(G, cycle):
     for i, j in combinations(range(k), 2):
         expected = abs(i - j) in (1, k - 1)
         assert (cycle[j] in adj[cycle[i]]) == expected
+
+
+def check_weak_triangulation(G):
+    """Compare with the exhaustive scan and check any witness; the answer."""
+    res = is_weakly_triangulated(G)
+    assert res.holds == brute_force_weakly_triangulated(G)
+    if not res.holds:
+        host = {"cycle": G, "complement-of-cycle": complement(G)}[res.witness_kind]
+        assert len(res.witness) >= 5
+        assert_induced_cycle(host, res.witness)
+    return res.holds
 
 
 class TestChordality:
@@ -136,12 +149,28 @@ class TestWeakTriangulation:
     def test_chordal_implies_weakly_triangulated(self):
         for seed in range(1, 15):
             g, _ = random_chordal_graph(3, (3, 4), 1, seed=seed)
-            if g.n <= 12:
-                assert is_weakly_triangulated(g).holds
+            assert is_weakly_triangulated(g).holds
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            is_weakly_triangulated(cycle_graph(17))
+        # no vertex cap: long holes are found, large chordal graphs pass
+        res = is_weakly_triangulated(cycle_graph(17))
+        assert not res.holds and res.witness_kind == "cycle"
+        assert len(res.witness) == 17
+        assert_induced_cycle(cycle_graph(17), res.witness)
+        g, _ = random_chordal_graph(6, (4, 6), 1, seed=3)
+        assert g.n > 16 and is_weakly_triangulated(g).holds
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_exhaustive_scan(self, g):
+        check_weak_triangulation(g)
+
+    def test_agrees_with_exhaustive_scan_on_seeded_corpus(self):
+        answers = [check_weak_triangulation(g)
+                   for density in (0.3, 0.5, 0.7)
+                   for g in seeded_graphs(100, 11, seed=int(density * 100),
+                                          min_n=1, density=density)]
+        assert answers.count(False) > 30 and answers.count(True) > 30
 
 
 class TestCutApexProperty:

@@ -146,7 +146,7 @@ class TestAnalyze:
         assert payload["weakly_triangulated"] is False
 
     def test_caps_reported(self, capsys, tmp_path):
-        # 33 vertices exceed both CHROMATIC_CAP and WEAK_TRIANGULATION_CAP
+        # 33 vertices exceed CHROMATIC_CAP; weak triangulation has no cap
         path = tmp_path / "c33.json"
         _, out, _ = run_cli(capsys, "gen", "cycle", "33")
         path.write_text(out)
@@ -154,7 +154,7 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["chromatic_number"] == "skipped(cap)"
-        assert payload["weakly_triangulated"] == "skipped(cap)"
+        assert payload["weakly_triangulated"] is False
 
     def test_k4(self, capsys, tmp_path):
         path = tmp_path / "k4.json"

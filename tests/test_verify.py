@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -151,6 +152,24 @@ class TestVerifiers:
         report = verify_cut_bounds()
         assert report.passed
         assert report.instances_checked == len(default_cut_bound_instances())
+
+    def test_cut_bounds_weak_triangulation_route_above_16_vertices(self, monkeypatch):
+        import ncomplex.verify
+        # non-adjacent hubs 0, 1 over a K8 block; two copies glued over the
+        # hubs make an 18-vertex union that is weakly triangulated, not chordal
+        hub_side = Graph(10, list(combinations(range(2, 10), 2))
+                         + [(h, v) for h in (0, 1) for v in range(2, 10)])
+        real = ncomplex.verify.is_weakly_triangulated
+        calls = []
+
+        def recording(G):
+            res = real(G)
+            calls.append((G.n, res.holds))
+            return res
+        monkeypatch.setattr(ncomplex.verify, "is_weakly_triangulated", recording)
+        report = verify_cut_bounds(instances=[(hub_side, hub_side, frozenset({0, 1}), "i")])
+        assert calls == [(18, True)]
+        assert report.passed and report.instances_checked == 1
 
     def test_unknown_verifier(self):
         with pytest.raises(ValueError):
