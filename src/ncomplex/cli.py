@@ -7,6 +7,7 @@ or parse errors. Identical inputs and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -206,9 +207,13 @@ def build_parser():
     return parser
 
 
+# building the parser costs more than a small command; build it on the first
+# call of main, not at import, and reuse it for every later call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "gen": _cmd_gen,
         "homology": _cmd_homology,

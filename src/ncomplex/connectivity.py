@@ -1,9 +1,18 @@
 """Vertex connectivity with a witness cut, and the components of a cut.
 
-Connectivity runs on unit-capacity flows over the vertex-split digraph:
-vertex v becomes an arc in(v) -> out(v) of capacity one, each graph edge
-becomes a pair of opposite arcs between out- and in-nodes. Augmentation
-breaks ties toward lower vertex indices, so results are reproducible.
+Connectivity follows the flow scheme of Even (1975) and Esfahanian & Hakimi
+(1984): kappa is the least s-t vertex flow over sources s in the closed
+neighbourhood of a minimum-degree vertex and sinks t not adjacent to s. The
+flows run on one vertex-split digraph per graph, built once: vertex v
+becomes an arc in(v) -> out(v) of capacity one, each edge a pair of arcs
+out -> in of capacity n + 1, and each pair copies its capacities. Every
+common neighbour w of s and t carries its own path s -> w -> t before any
+search, since some maximum flow uses all of them; augmentation then breaks
+ties toward lower vertex indices and stops once the flow reaches the best
+value so far. Only a strictly smaller flow, which is then a maximum flow,
+gives a new witness: its cut, the vertices whose in-node but not out-node
+the residual network reaches from s, is the same for every maximum flow, so
+the witness does not depend on the paths chosen.
 """
 from __future__ import annotations
 
@@ -24,39 +33,21 @@ class CutComponents:
     components: tuple
 
 
-def _inn(v):
-    return 2 * v
-
-
-def _out(v):
-    return 2 * v + 1
-
-
-def _flow_network(G, s, t):
-    """Residual capacities and static adjacency for the split digraph.
-
-    Edge arcs get capacity n+1 so that only the unit internal arcs can be
-    saturated across a minimum cut; the one exception is an edge joining s
-    and t directly, whose two unsplit endpoints leave the arc itself as the
-    bottleneck.
-    """
-    cap = {}
-    nbr = {}
+def _split_network(G):
+    """Capacities of the split digraph, with every reverse arc at zero, and
+    the sorted residual neighbours of each node; in(v) = 2v, out(v) = 2v + 1."""
     big = G.n + 1
-
-    def arc(x, y, c):
-        cap[(x, y)] = cap.get((x, y), 0) + c
-        nbr.setdefault(x, set()).add(y)
-        nbr.setdefault(y, set()).add(x)
-
+    cap = {}
+    adjacency = []
     for v in range(G.n):
-        if v != s and v != t:
-            arc(_inn(v), _out(v), 1)
-    for u, w in G.edges:
-        c = 1 if {u, w} == {s, t} else big
-        arc(_out(u), _inn(w), c)
-        arc(_out(w), _inn(u), c)
-    adjacency = {x: sorted(ys) for x, ys in nbr.items()}
+        cap[(2 * v, 2 * v + 1)] = 1
+        cap[(2 * v + 1, 2 * v)] = 0
+        for w in G.adjacency[v]:
+            cap[(2 * v + 1, 2 * w)] = big
+            cap[(2 * w, 2 * v + 1)] = 0
+        closed = sorted(G.adjacency[v] | {v})
+        adjacency.append([2 * w + 1 for w in closed])
+        adjacency.append([2 * w for w in closed])
     return cap, adjacency
 
 
@@ -64,14 +55,11 @@ def _augment(cap, adjacency, src, snk):
     """One BFS augmenting path; returns True if flow increased."""
     parent = {src: None}
     queue = [src]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
+    for x in queue:
         if x == snk:
             break
-        for y in adjacency.get(x, ()):
-            if y not in parent and cap.get((x, y), 0) > 0:
+        for y in adjacency[x]:
+            if y not in parent and cap[(x, y)] > 0:
                 parent[y] = x
                 queue.append(y)
     if snk not in parent:
@@ -80,37 +68,41 @@ def _augment(cap, adjacency, src, snk):
     while parent[y] is not None:
         x = parent[y]
         cap[(x, y)] -= 1
-        cap[(y, x)] = cap.get((y, x), 0) + 1
+        cap[(y, x)] += 1
         y = x
     return True
 
 
-def _max_disjoint(G, s, t):
-    """(flow value, residual cap, adjacency) for s-t vertex flow."""
-    cap, adjacency = _flow_network(G, s, t)
-    src, snk = _out(s), _inn(t)
-    value = 0
-    while _augment(cap, adjacency, src, snk):
+def _max_flow(G, network, s, t, limit):
+    """(value, residual capacities) of a flow from s to t, which must not be
+    adjacent, stopped at `limit`; when the common neighbours alone reach
+    `limit` no capacities are copied and None stands in for them."""
+    common = G.adjacency[s] & G.adjacency[t]
+    if len(common) >= limit:
+        return limit, None
+    cap = dict(network[0])
+    src, snk = 2 * s + 1, 2 * t
+    for w in common:
+        for arc in ((src, 2 * w), (2 * w, 2 * w + 1), (2 * w + 1, snk)):
+            cap[arc] -= 1
+            cap[arc[::-1]] += 1
+    value = len(common)
+    while value < limit and _augment(cap, network[1], src, snk):
         value += 1
-    return value, cap, adjacency
+    return value, cap
 
 
-def _min_cut_from_residual(G, s, t, cap, adjacency):
-    """Vertices whose internal arc is saturated across the residual frontier."""
-    src = _out(s)
-    reach = {src}
-    stack = [src]
+def _residual_cut(cap, adjacency, s):
+    """Vertices whose in-node but not out-node is reachable from out(s)."""
+    reach = {2 * s + 1}
+    stack = [2 * s + 1]
     while stack:
         x = stack.pop()
-        for y in adjacency.get(x, ()):
-            if y not in reach and cap.get((x, y), 0) > 0:
+        for y in adjacency[x]:
+            if y not in reach and cap[(x, y)] > 0:
                 reach.add(y)
                 stack.append(y)
-    cut = set()
-    for v in range(G.n):
-        if v != s and v != t and _inn(v) in reach and _out(v) not in reach:
-            cut.add(v)
-    return frozenset(cut)
+    return frozenset(x // 2 for x in reach if x % 2 == 0 and x + 1 not in reach)
 
 
 def vertex_connectivity(G):
@@ -128,18 +120,17 @@ def vertex_connectivity(G):
         return CutReport(0, frozenset())
     adj = G.adjacency
     v0 = min(range(G.n), key=lambda v: (len(adj[v]), v))
-    best = None
+    network = _split_network(G)
+    best = G.n
     witness = None
-    for u in sorted({v0} | set(adj[v0])):
+    for u in sorted(adj[v0] | {v0}):
         for t in range(G.n):
             if t == u or t in adj[u]:
                 continue
-            if best is not None and best == 0:
-                break
-            value, cap, adjacency = _max_disjoint(G, u, t)
-            if best is None or value < best:
+            value, cap = _max_flow(G, network, u, t, best)
+            if value < best:
                 best = value
-                witness = _min_cut_from_residual(G, u, t, cap, adjacency)
+                witness = _residual_cut(cap, network[1], u)
     return CutReport(best, witness)
 
 

@@ -35,7 +35,7 @@ def _find_fold_in(adj, order):
 
 def find_fold(G):
     """Lexicographically smallest (u, v) with N(u) a subset of N(v), or None."""
-    return _find_fold_in(restricted_adjacency(G, frozenset(range(G.n))), range(G.n))
+    return _find_fold_in(G.adjacency, range(G.n))
 
 
 def is_stiff(G):
@@ -44,8 +44,8 @@ def is_stiff(G):
 
 def fold_reduction(G):
     """Fold greedily until stiff, always taking the smallest fold pair."""
-    adj = restricted_adjacency(G, frozenset(range(G.n)))
-    alive = sorted(adj)
+    adj = {v: set(nbrs) for v, nbrs in enumerate(G.adjacency)}
+    alive = list(range(G.n))
     steps = []
     while True:
         pair = _find_fold_in(adj, alive)

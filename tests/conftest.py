@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's algorithms: chromatic
 numbers come from plain backtracking over color assignments, connectivity
 and minimum cuts from exhaustive subset removal, Smith forms from gcds of
 minors, faces of a neighborhood complex from common neighborhoods and
-nerves. Tests pit the real implementations against these.
+nerves. Vertex connectivity also has a reference flow routine that builds
+a fresh network for every pair and runs every flow to completion. Tests
+pit the real implementations against these.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from math import gcd
 from hypothesis import strategies as st
 
 from ncomplex.complexes import SimplicialComplex
+from ncomplex.connectivity import CutReport
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 from ncomplex.homology import ConnectivityBound
 
@@ -115,6 +118,87 @@ def brute_force_min_cuts(G):
         rest = [v for v in range(G.n) if v not in subset]
         if not is_connected(induced_subgraph(G, rest)):
             yield frozenset(subset)
+
+
+def reference_flow(G, s, t):
+    """(value, residual capacities, adjacency) of a maximum s-t vertex flow
+    on a fresh split digraph: in(v) = 2v -> out(v) = 2v + 1 of capacity one
+    for v other than s and t, edge arcs of capacity n + 1, except an edge
+    joining s and t directly, which keeps capacity one and so counts as one
+    path. Augmentation is BFS with ties toward lower node indices."""
+    cap = {}
+    nbr = {}
+    big = G.n + 1
+
+    def arc(x, y, c):
+        cap[(x, y)] = cap.get((x, y), 0) + c
+        nbr.setdefault(x, set()).add(y)
+        nbr.setdefault(y, set()).add(x)
+
+    for v in range(G.n):
+        if v != s and v != t:
+            arc(2 * v, 2 * v + 1, 1)
+    for u, w in G.edges:
+        c = 1 if {u, w} == {s, t} else big
+        arc(2 * u + 1, 2 * w, c)
+        arc(2 * w + 1, 2 * u, c)
+    adjacency = {x: sorted(ys) for x, ys in nbr.items()}
+    src, snk = 2 * s + 1, 2 * t
+    value = 0
+    while True:
+        parent = {src: None}
+        queue = [src]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            if x == snk:
+                break
+            for y in adjacency.get(x, ()):
+                if y not in parent and cap.get((x, y), 0) > 0:
+                    parent[y] = x
+                    queue.append(y)
+        if snk not in parent:
+            return value, cap, adjacency
+        y = snk
+        while parent[y] is not None:
+            x = parent[y]
+            cap[(x, y)] -= 1
+            cap[(y, x)] = cap.get((y, x), 0) + 1
+            y = x
+        value += 1
+
+
+def reference_vertex_connectivity(G):
+    """CutReport from one reference_flow per pair (u, t), u in the closed
+    neighbourhood of the first minimum-degree vertex and t not adjacent to
+    u, both ascending; the first least flow gives the witness, read off its
+    residual network."""
+    if G.is_complete():
+        return CutReport(G.n - 1, None)
+    if not is_connected(G):
+        return CutReport(0, frozenset())
+    adj = G.adjacency
+    v0 = min(range(G.n), key=lambda v: (len(adj[v]), v))
+    best = witness = None
+    for u in sorted({v0} | set(adj[v0])):
+        for t in range(G.n):
+            if t == u or t in adj[u]:
+                continue
+            value, cap, adjacency = reference_flow(G, u, t)
+            if best is None or value < best:
+                best = value
+                reach = {2 * u + 1}
+                stack = [2 * u + 1]
+                while stack:
+                    x = stack.pop()
+                    for y in adjacency.get(x, ()):
+                        if y not in reach and cap.get((x, y), 0) > 0:
+                            reach.add(y)
+                            stack.append(y)
+                witness = frozenset(v for v in range(G.n) if v not in (u, t)
+                                    and 2 * v in reach and 2 * v + 1 not in reach)
+    return CutReport(best, witness)
 
 
 def brute_force_min_separator(G, s, t):

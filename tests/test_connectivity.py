@@ -3,15 +3,24 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from ncomplex.connectivity import _max_disjoint, cut_components, vertex_connectivity
+from ncomplex.connectivity import (
+    CutReport,
+    _max_flow,
+    _split_network,
+    cut_components,
+    vertex_connectivity,
+)
 from ncomplex.graph import (
     Graph,
     complete_graph,
     cycle_graph,
     induced_subgraph,
     is_connected,
+    king_graph,
     mycielskian,
     path_graph,
+    queen_graph,
+    random_chordal_graph,
 )
 from ncomplex.verify import counterexample_graph
 
@@ -20,13 +29,16 @@ from conftest import (
     brute_force_min_cuts,
     brute_force_min_separator,
     graphs,
+    reference_flow,
+    reference_vertex_connectivity,
     seeded_graphs,
 )
 
 
 def flow_value(G, s, t):
-    """Size of a maximum family of internally disjoint s-t paths."""
-    return _max_disjoint(G, s, t)[0]
+    """Size of a maximum family of internally disjoint paths between
+    non-adjacent s and t, from the library's uncapped flow."""
+    return _max_flow(G, _split_network(G), s, t, G.n)[0]
 
 
 class TestVertexConnectivity:
@@ -81,6 +93,24 @@ class TestVertexConnectivity:
         kappa = vertex_connectivity(g).kappa
         assert kappa <= min(g.degree(v) for v in range(g.n))
 
+    @given(graphs(min_n=2, max_n=10))
+    @settings(max_examples=100)
+    def test_matches_reference_flow_routine(self, g):
+        # one shared network, pre-routed common neighbours and capped flows
+        # give the per-pair routine's kappa and witness exactly
+        assert vertex_connectivity(g) == reference_vertex_connectivity(g)
+
+    def test_pinned_witness_cuts(self):
+        fixtures = [
+            (queen_graph(3, 3), 6, {1, 2, 3, 4, 6, 8}),
+            (king_graph(3, 4), 3, {1, 4, 5}),
+            (mycielskian(cycle_graph(5)), 3, {0, 2, 10}),
+            (counterexample_graph(), 1, {1}),
+            (random_chordal_graph(5, (4, 6), 2, 3)[0], 2, {2, 6}),
+        ]
+        for g, kappa, cut in fixtures:
+            assert vertex_connectivity(g) == CutReport(kappa, frozenset(cut))
+
     def test_mycielskian_raises_connectivity(self):
         for g in [complete_graph(2), cycle_graph(4), cycle_graph(5), path_graph(4)]:
             assert vertex_connectivity(mycielskian(g)).kappa > vertex_connectivity(g).kappa
@@ -90,7 +120,14 @@ class TestDisjointPaths:
     # the s-t flow value counts internally disjoint paths; for adjacent s, t
     # the direct edge is one of them
     def test_complete(self):
-        assert flow_value(complete_graph(4), 0, 1) == 3
+        assert reference_flow(complete_graph(4), 0, 1)[0] == 3
+
+    def test_every_path_through_a_common_neighbour(self):
+        # K_{2,5} at its hubs: five paths, all routed before any search
+        g = Graph(7, [(h, leaf) for h in (0, 1) for leaf in range(2, 7)])
+        assert flow_value(g, 0, 1) == 5
+        assert _max_flow(g, _split_network(g), 0, 1, 3) == (3, None)
+        assert vertex_connectivity(g) == reference_vertex_connectivity(g)
 
     def test_cycle_opposite(self):
         assert flow_value(cycle_graph(4), 0, 2) == 2
@@ -108,7 +145,7 @@ class TestDisjointPaths:
             for s, t in pairs[:3]:
                 pruned = Graph(g.n, set(g.edges) - {(min(s, t), max(s, t))})
                 expected = 1 + brute_force_min_separator(pruned, s, t)
-                assert flow_value(g, s, t) == expected
+                assert reference_flow(g, s, t)[0] == expected
                 checked += 1
         assert checked > 30
 
