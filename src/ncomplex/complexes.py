@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, induced_subgraph, is_complete_on, restricted_adjacency
+from .graph import Graph, induced_subgraph, is_complete_on, json_field, restricted_adjacency
 
 
 class SimplicialComplex:
@@ -95,7 +95,8 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        return cls.from_faces(obj["facets"])
+        facets = json_field(obj, "facets", lambda fs: [frozenset(f) for f in fs])
+        return cls.from_faces(facets)
 
 
 def neighborhood_complex(G):

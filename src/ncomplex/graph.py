@@ -14,6 +14,14 @@ from itertools import combinations
 from .errors import CapExceededError
 
 
+def json_field(obj, name, parse):
+    """parse(obj[name]), or a ValueError naming the field if that fails."""
+    try:
+        return parse(obj[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"JSON field {name!r} is missing or malformed") from exc
+
+
 class Graph:
     """Immutable simple graph. Equality and hashing use (n, edges) only."""
 
@@ -86,10 +94,13 @@ class Graph:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        n = json_field(obj, "n", int)
+        edges = json_field(obj, "edges", lambda es: [(int(u), int(v)) for u, v in es])
         labels = None
         if "labels" in obj and obj["labels"]:
-            labels = {int(k): str(v) for k, v in obj["labels"].items()}
-        return cls(int(obj["n"]), [tuple(e) for e in obj["edges"]], labels)
+            labels = json_field(obj, "labels",
+                                lambda ls: {int(k): str(v) for k, v in ls.items()})
+        return cls(n, edges, labels)
 
     @classmethod
     def from_edge_list(cls, text):

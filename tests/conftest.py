@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's algorithms: chromatic
 numbers come from plain backtracking over color assignments, connectivity
 and minimum cuts from exhaustive subset removal, Smith forms from gcds of
 minors, faces of a neighborhood complex from common neighborhoods and
-nerves. Vertex connectivity also has a reference flow routine that builds
-a fresh network for every pair and runs every flow to completion. Tests
-pit the real implementations against these.
+nerves, and whether a graph folds onto a clique from every fold sequence.
+Vertex connectivity also has a reference flow routine that builds a fresh
+network for every pair and runs every flow to completion. Tests pit the
+real implementations against these.
 """
 from __future__ import annotations
 
@@ -307,6 +308,40 @@ def minors_gcd_smith(matrix):
         factors.append(g // previous)
         previous = g
     return factors
+
+
+def reference_folds_onto_clique(G, p):
+    """Fold steps (removed, dominator) by which some fold sequence reaches a
+    complete graph on p vertices, or None; every sequence is searched, with
+    memoization on the surviving vertex set (small graphs only)."""
+    if p < 1:
+        raise ValueError("target clique size must be positive")
+    memo = {}
+
+    def search(alive):
+        if alive in memo:
+            return memo[alive]
+        adj = {v: G.adjacency[v] & alive for v in alive}
+        if len(alive) <= p:
+            complete = all(len(adj[v]) == len(alive) - 1 for v in alive)
+            ans = [] if len(alive) == p and complete else None
+            memo[alive] = ans
+            return ans
+        ans = None
+        for u in sorted(alive):
+            # the residual depends only on the removed vertex, so one
+            # dominator per candidate removal suffices
+            dom = next((v for v in sorted(alive) if v != u and adj[u] <= adj[v]), None)
+            if dom is None:
+                continue
+            rest = search(alive - {u})
+            if rest is not None:
+                ans = [(u, dom)] + rest
+                break
+        memo[alive] = ans
+        return ans
+
+    return search(frozenset(range(G.n)))
 
 
 def brute_force_isomorphic(G, H):

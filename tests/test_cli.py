@@ -131,6 +131,19 @@ class TestHomology:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize("argv, text, field", [
+        (["analyze"], '{"n": 3}', "edges"),
+        (["analyze"], '{"n": 3, "edges": null}', "edges"),
+        (["homology", "--complex"], '{"facets": 5}', "facets"),
+    ])
+    def test_malformed_json_exit_code(self, capsys, tmp_path, argv, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(field) in err
+
 
 class TestAnalyze:
     def test_counterexample_summary(self, capsys, tmp_path):

@@ -1,7 +1,8 @@
 """The README's verifier table and the command line's choices follow the
-verifier table in `ncomplex.verify`, the README's quick tour runs, and its
-command lines parse."""
+verifier table in `ncomplex.verify`, the README's quick tour runs, its
+command lines parse, and the module constants it names exist."""
 import argparse
+import importlib
 import re
 import shlex
 from contextlib import redirect_stdout
@@ -55,3 +56,12 @@ def test_readme_quick_tour_runs_and_prints_what_it_says():
     with redirect_stdout(out):
         exec(compile(tour, "README quick tour", "exec"), {})
     assert out.getvalue().splitlines() == ["['0', '0', '0', 'Z^11']", "8"]
+
+
+def test_readme_constants_exist():
+    text = README.read_text(encoding="utf-8")
+    named = re.findall(r"`([a-z_]+)\.([A-Z][A-Z0-9_]*)`", text)
+    assert named
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"ncomplex.{module}"), name), \
+            f"{module}.{name}"

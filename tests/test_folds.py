@@ -1,8 +1,8 @@
+import pytest
 from hypothesis import given, settings
 
 from ncomplex.complexes import neighborhood_complex
 from ncomplex.folds import (
-    FOLD_SEARCH_CAP,
     find_fold,
     fold_reduction,
     folds_onto_clique,
@@ -12,7 +12,13 @@ from ncomplex.graph import Graph, complete_graph, cycle_graph, path_graph
 from ncomplex.homology import reduced_homology
 from ncomplex.verify import counterexample_graph
 
-from conftest import graphs, reversed_labels, seeded_graphs
+from conftest import (
+    brute_force_isomorphic,
+    graphs,
+    reference_folds_onto_clique,
+    reversed_labels,
+    seeded_graphs,
+)
 
 
 class TestFindFold:
@@ -77,6 +83,13 @@ class TestFoldReduction:
             assert [(x.betti, x.torsion) for x in a.groups] == \
                    [(x.betti, x.torsion) for x in b.groups]
 
+    @given(graphs(min_n=1, max_n=8))
+    @settings(max_examples=200)
+    def test_two_orders_give_isomorphic_residuals(self, g):
+        low = fold_reduction(g).result
+        high = fold_reduction(reversed_labels(g)).result
+        assert brute_force_isomorphic(low, high)
+
     def test_homology_invariance_small_corpus(self):
         for g in seeded_graphs(25, 9, seed=31, density=0.4):
             trace = fold_reduction(g)
@@ -86,47 +99,79 @@ class TestFoldReduction:
                    [(x.betti, x.torsion) for x in after.groups]
 
 
+def _replay(g, steps):
+    """Adjacency left after applying `steps`, each checked to be a fold."""
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    for u, v in steps:
+        assert adj[u] <= adj[v] and u != v
+        for w in adj[u]:
+            adj[w].discard(u)
+        del adj[u]
+    return adj
+
+
 class TestFoldsOntoClique:
     def test_already_complete(self):
-        decision = folds_onto_clique(complete_graph(4), 4)
-        assert decision.status == "yes" and decision.trace.steps == ()
+        trace = folds_onto_clique(complete_graph(4), 4)
+        assert trace is not None and trace.steps == ()
 
     def test_square_onto_edge(self):
-        decision = folds_onto_clique(cycle_graph(4), 2)
-        assert decision.status == "yes"
-        assert decision.trace.result.is_complete()
+        trace = folds_onto_clique(cycle_graph(4), 2)
+        assert trace is not None
+        assert trace.result.is_complete()
 
     def test_stiff_cycle_says_no(self):
-        assert folds_onto_clique(cycle_graph(5), 2).status == "no"
+        assert folds_onto_clique(cycle_graph(5), 2) is None
 
     def test_unknown_above_cap(self):
+        # the decision has no vertex cap
         g = cycle_graph(13)
-        assert is_stiff(g) and g.n > FOLD_SEARCH_CAP
-        assert folds_onto_clique(g, 2).status == "unknown"
+        assert is_stiff(g)
+        assert folds_onto_clique(g, 2) is None
 
     def test_target_larger_than_graph(self):
-        assert folds_onto_clique(cycle_graph(4), 9).status == "no"
+        assert folds_onto_clique(cycle_graph(4), 9) is None
 
     def test_stiff_hexagon_cannot_fold_at_all(self):
         g = cycle_graph(6)
         assert is_stiff(g)
-        assert folds_onto_clique(g, 3).status == "no"
-        assert folds_onto_clique(g, 2).status == "no"
+        assert folds_onto_clique(g, 3) is None
+        assert folds_onto_clique(g, 2) is None
 
     def test_exhaustive_search_reaches_intermediate_cliques(self):
         # a triangle with two pendant dominated vertices reaches K_3 midway
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 0), (4, 0)])
-        decision = folds_onto_clique(g, 3)
-        assert decision.status == "yes"
-        assert set(decision.trace.result_vertices) == {0, 1, 2}
+        trace = folds_onto_clique(g, 3)
+        assert trace is not None
+        assert set(trace.result_vertices) == {0, 1, 2}
 
     def test_trace_is_a_valid_fold_sequence(self):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (2, 4)])
-        decision = folds_onto_clique(g, 3)
-        if decision.status == "yes":
-            adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-            for u, v in decision.trace.steps:
-                assert adj[u] <= adj[v] and u != v
-                for w in adj[u]:
-                    adj[w].discard(u)
-                del adj[u]
+        trace = folds_onto_clique(g, 3)
+        if trace is not None:
+            _replay(g, trace.steps)
+
+    def test_sixteen_vertices_of_pendants_on_a_clique(self):
+        g = Graph(16, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                  + [(0, w) for w in range(4, 16)])
+        trace = folds_onto_clique(g, 4)
+        assert trace is not None and trace.result_vertices == (0, 1, 2, 3)
+        assert folds_onto_clique(g, 3) is None
+        assert folds_onto_clique(g, 5) is None
+
+    def test_rejects_nonpositive_target(self):
+        with pytest.raises(ValueError):
+            folds_onto_clique(cycle_graph(4), 0)
+
+    @given(graphs(min_n=1, max_n=9))
+    @settings(max_examples=80)
+    def test_agrees_with_every_fold_sequence(self, g):
+        for p in range(1, g.n + 2):
+            trace = folds_onto_clique(g, p)
+            expected = reference_folds_onto_clique(g, p)
+            assert (trace is not None) == (expected is not None), p
+            if trace is not None:
+                adj = _replay(g, trace.steps)
+                assert len(adj) == p
+                assert all(len(nbrs) == p - 1 for nbrs in adj.values())
+                assert tuple(sorted(adj)) == trace.result_vertices
