@@ -10,10 +10,9 @@ latter, never the former.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, induced_subgraph, is_complete_on, json_field, restricted_adjacency
+from .graph import json_field
 
 
 class SimplicialComplex:
@@ -95,7 +94,8 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        facets = json_field(obj, "facets", lambda fs: [frozenset(f) for f in fs])
+        facets = json_field(obj, "facets",
+                            lambda fs: [frozenset(int(v) for v in f) for f in fs])
         return cls.from_faces(facets)
 
 
@@ -123,56 +123,28 @@ def suspension(X):
     return SimplicialComplex(facets)
 
 
-@dataclass(frozen=True)
-class ExtensionCheck:
-    holds: bool
-    witnesses: dict | None
-    failing_subset: frozenset | None
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    vertex: int
-    check: ExtensionCheck
-
-
-@dataclass(frozen=True)
-class ConnectivityCertificate:
-    kind: str                 # "complete-graph-base" | "extension-chain"
-    claimed_connectivity: int
-    chain: tuple              # ChainStep records, in re-addition order
-    base_graph: Graph
-    base_vertices: tuple
-
-
-def _extension_check(adj, v, depth):
-    """Within an adjacency map: does every subset of N(v) of the critical
-    size have a common neighbor other than v?
+def _extension_check(G, alive, v, depth):
+    """Within the subgraph on `alive`: does every subset of N(v) of the
+    critical size have a common neighbor other than v?
 
     Subsets smaller than min(depth + 1, deg v) are covered by monotonicity:
     a common neighbor for a set also serves every subset of it.
     """
-    nv = sorted(adj[v])
+    adj = G.adjacency
+    nv = sorted(adj[v] & alive)
     size = min(depth + 1, len(nv))
-    witnesses = {}
-    for subset in combinations(nv, size):
-        candidates = set(adj) - {v}
-        for x in subset:
-            candidates &= adj[x]
-        candidates.discard(v)
-        if not candidates:
-            return ExtensionCheck(False, None, frozenset(subset))
-        witnesses[frozenset(subset)] = min(candidates)
-    return ExtensionCheck(True, witnesses, None)
+    return all(alive.intersection(*(adj[x] for x in subset)) - {v}
+               for subset in combinations(nv, size))
 
 
 def certify_connectivity(G, order, k):
-    """Checker for k-connectedness of the neighborhood complex.
+    """Checker for k-connectedness of the neighborhood complex; the removal
+    order is the certificate.
 
     Removing `order` from G must leave a complete graph on at least k+3
     vertices; re-adding the vertices in reverse order, each one must pass
-    the extension check at depth k. Returns a certificate, or None when any
-    condition fails. The caller chooses the elimination order.
+    the extension check at depth k. Returns True when every condition
+    holds, False otherwise. The caller chooses the order.
     """
     if k < 0:
         raise ValueError("connectivity level must be non-negative")
@@ -181,27 +153,12 @@ def certify_connectivity(G, order, k):
         raise ValueError("order contains repeated vertices")
     for v in order:
         G.neighbors(v)
+    adj = G.adjacency
     alive = set(range(G.n)) - set(order)
-    if not alive:
-        return None
-    base_alive = frozenset(alive)
-    if not is_complete_on(restricted_adjacency(G, base_alive), base_alive):
-        return None
-    if len(base_alive) < k + 3:
-        return None
-    chain = []
+    if len(alive) < k + 3 or any(len(adj[v] & alive) != len(alive) - 1 for v in alive):
+        return False
     for v in reversed(order):
         alive.add(v)
-        adj = restricted_adjacency(G, alive)
-        check = _extension_check(adj, v, k)
-        if not check.holds:
-            return None
-        chain.append(ChainStep(v, check))
-    kind = "extension-chain" if order else "complete-graph-base"
-    return ConnectivityCertificate(
-        kind=kind,
-        claimed_connectivity=k,
-        chain=tuple(chain),
-        base_graph=induced_subgraph(G, sorted(base_alive)),
-        base_vertices=tuple(sorted(base_alive)),
-    )
+        if not _extension_check(G, alive, v, k):
+            return False
+    return True

@@ -170,42 +170,28 @@ def path_graph(k):
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def _board_labels(m, n):
-    return {(i - 1) * n + (j - 1): f"({i},{j})"
-            for i in range(1, m + 1) for j in range(1, n + 1)}
-
-
-def queen_graph(m, n):
-    """Queen-move adjacency on an m-by-n board.
-
-    Squares (i,j) and (k,l) are adjacent when they share a row, a column or a
-    diagonal, at any distance. Vertex index of (i,j) is (i-1)*n + (j-1);
-    coordinates are kept in the label map.
-    """
+def _board_graph(m, n, attacks):
+    """Squares of an m-by-n board, adjacent when `attacks(di, dj)` holds for
+    their row and column distances. Vertex index of (i,j) is (i-1)*n + (j-1);
+    coordinates are kept in the label map."""
     if m < 1 or n < 1:
         raise ValueError("board sides must be positive")
     squares = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    edges = []
-    for a, (i, j) in enumerate(squares):
-        for b in range(a + 1, len(squares)):
-            k, l = squares[b]
-            if i == k or j == l or abs(i - k) == abs(j - l):
-                edges.append((a, b))
-    return Graph(m * n, edges, _board_labels(m, n))
+    edges = [(a, b) for (a, (i, j)), (b, (k, l)) in combinations(enumerate(squares), 2)
+             if attacks(abs(i - k), abs(j - l))]
+    labels = {a: f"({i},{j})" for a, (i, j) in enumerate(squares)}
+    return Graph(m * n, edges, labels)
+
+
+def queen_graph(m, n):
+    """Queen-move adjacency on an m-by-n board: squares sharing a row, a
+    column or a diagonal, at any distance."""
+    return _board_graph(m, n, lambda di, dj: di == 0 or dj == 0 or di == dj)
 
 
 def king_graph(m, n):
     """King-move adjacency on an m-by-n board: Chebyshev distance one."""
-    if m < 1 or n < 1:
-        raise ValueError("board sides must be positive")
-    squares = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    edges = []
-    for a, (i, j) in enumerate(squares):
-        for b in range(a + 1, len(squares)):
-            k, l = squares[b]
-            if max(abs(i - k), abs(j - l)) == 1:
-                edges.append((a, b))
-    return Graph(m * n, edges, _board_labels(m, n))
+    return _board_graph(m, n, lambda di, dj: max(di, dj) == 1)
 
 
 def mycielskian(G):
@@ -246,21 +232,6 @@ def induced_subgraph(G, vertices):
     old_labels = G.labels or {}
     labels = {i: old_labels.get(v, str(v)) for v, i in index.items()}
     return Graph(len(keep), edges, labels)
-
-
-def restricted_adjacency(G, members):
-    """Mutable neighbor sets of the subgraph on `members`, original indices.
-
-    `members` must be a set or frozenset: each neighborhood is intersected
-    with it.
-    """
-    adj = G.adjacency
-    return {v: set(adj[v] & members) for v in members}
-
-
-def is_complete_on(adj, members):
-    """Do the `members` form a clique under the adjacency map `adj`?"""
-    return all(len(adj[v] & members) == len(members) - 1 for v in members)
 
 
 def _greedy_clique(G):

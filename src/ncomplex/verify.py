@@ -201,21 +201,18 @@ def chordal_shelling_order(G, connectivity_floor):
     order = []
     alive = list(range(G.n))
     cur = G
+    # every accepted removal keeps the clique number, so it is computed once
+    w = clique_number(G)
     while not cur.is_complete():
-        w = clique_number(cur)
-        pick = None
         for v in simplicial_vertices(cur):
-            rest = [u for u in range(cur.n) if u != v]
-            nxt = induced_subgraph(cur, rest)
+            nxt = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
             if (clique_number(nxt) == w
                     and vertex_connectivity(nxt).kappa >= connectivity_floor):
-                pick = v
                 break
-        if pick is None:
+        else:
             return None
-        order.append(alive[pick])
-        del alive[pick]
-        cur = induced_subgraph(cur, [u for u in range(cur.n) if u != pick])
+        order.append(alive.pop(v))
+        cur = nxt
     return order
 
 
@@ -301,15 +298,14 @@ def verify_board_simple_connectivity():
                 cert = certify_connectivity(G, board_removal_order(kind, m, n), 1)
                 hom = reduced_homology(neighborhood_complex(G), 1,
                                        source=f"{kind}-{m}x{n}")
-                ok = (cert is not None
-                      and hom.group(0).is_zero and hom.group(1).is_zero)
+                ok = cert and hom.group(0).is_zero and hom.group(1).is_zero
                 report.instances_checked += 1
                 if not ok:
                     report.add_failure(
                         G,
                         {"board": [kind, m, n], "certificate": True,
                          "groups": [[0, []], [0, []]]},
-                        {"board": [kind, m, n], "certificate": cert is not None,
+                        {"board": [kind, m, n], "certificate": cert,
                          "groups": group_data(hom)})
     return report
 
@@ -374,7 +370,7 @@ def verify_lovasz_bound(count=100, seed=1):
             # simple connectivity certificate makes the homological value exact
             m, n = item
             G = queen_graph(m, n)
-            if certify_connectivity(G, board_removal_order("queen", m, n), 1) is None:
+            if not certify_connectivity(G, board_removal_order("queen", m, n), 1):
                 report.skip(f"queen board {m}x{n}", "no simple-connectivity certificate")
                 continue
             bound = connectivity_of_complex(neighborhood_complex(G), 4)
@@ -433,15 +429,15 @@ def verify_chordal_fold_connectivity(count=24, seed=1):
             report.skip(f"seed {s}", f"folds onto clique of size {n + 2}: yes")
             continue
         order = chordal_shelling_order(g, n + 1)
-        cert = certify_connectivity(g, order, n) if order is not None else None
+        cert = order is not None and certify_connectivity(g, order, n)
         bound = connectivity_of_complex(neighborhood_complex(g), n)
         homology_ok = bound.value >= n
         report.instances_checked += 1
-        if not (cert is not None and homology_ok):
+        if not (cert and homology_ok):
             report.add_failure(
                 g,
                 {"certificate": True, "vanishing_through": n},
-                {"certificate": cert is not None, "connectivity": bound.describe()})
+                {"certificate": cert, "connectivity": bound.describe()})
     return report
 
 

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's algorithms: chromatic
 numbers come from plain backtracking over color assignments, connectivity
 and minimum cuts from exhaustive subset removal, Smith forms from gcds of
 minors, faces of a neighborhood complex from common neighborhoods and
-nerves, and whether a graph folds onto a clique from every fold sequence.
+nerves, whether a graph folds onto a clique from every fold sequence, and
+extension-chain certificates from rebuilt subgraphs and every neighbor
+subset.
 Vertex connectivity also has a reference flow routine that builds a fresh
 network for every pair and runs every flow to completion. Tests pit the
 real implementations against these.
@@ -358,6 +360,29 @@ def common_neighborhood(G, vertices):
     for v in vertices:
         result &= G.adjacency[v]
     return frozenset(result)
+
+
+def brute_force_certify(G, order, k):
+    """Extension-chain check by rebuilding the graph on the surviving
+    vertices at every step: the base must be complete on at least k+3
+    vertices, and each re-added vertex v needs, for every subset S of its
+    neighbours of every size up to k+1, a common neighbour of S other than
+    v. No monotonicity shortcut."""
+    removed = set(order)
+    alive = [v for v in range(G.n) if v not in removed]
+    base = induced_subgraph(G, alive)
+    if base.n < k + 3 or not base.is_complete():
+        return False
+    for v in reversed(order):
+        alive = sorted(alive + [v])
+        H = induced_subgraph(G, alive)
+        hv = alive.index(v)
+        nv = sorted(H.adjacency[hv])
+        for size in range(k + 2):
+            for subset in combinations(nv, size):
+                if not common_neighborhood(H, subset) - {hv}:
+                    return False
+    return True
 
 
 def has_face(X, face):

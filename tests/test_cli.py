@@ -135,6 +135,7 @@ class TestHomology:
         (["analyze"], '{"n": 3}', "edges"),
         (["analyze"], '{"n": 3, "edges": null}', "edges"),
         (["homology", "--complex"], '{"facets": 5}', "facets"),
+        (["homology", "--complex"], '{"facets": [[0, "a"], [1, 2]]}', "facets"),
     ])
     def test_malformed_json_exit_code(self, capsys, tmp_path, argv, text, field):
         path = tmp_path / "bad.json"

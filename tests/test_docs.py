@@ -1,6 +1,7 @@
 """The README's verifier table and the command line's choices follow the
-verifier table in `ncomplex.verify`, the README's quick tour runs, its
-command lines parse, and the module constants it names exist."""
+verifier table in `ncomplex.verify`, its library table names every module,
+the README's quick tour runs, its command lines parse, and the module
+constants it names exist."""
 import argparse
 import importlib
 import re
@@ -28,6 +29,16 @@ def test_readme_lists_every_verifier_in_table_order():
     aliases = {alias: re.search(r"`([^`]+)`", cell).group(1)
                for cell in rows for alias in re.findall(r"alias `([^`]+)`", cell)}
     assert aliases == VERIFIER_ALIASES
+
+
+def test_readme_library_table_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("## Library overview", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `ncomplex\.(\w+)` \|", section, re.M)
+    package = Path(importlib.import_module("ncomplex").__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {
+        "__init__", "__main__", "errors", "cli"}
+    assert sorted(rows) == sorted(modules)
 
 
 def test_verify_choices_are_the_ids_aliases_and_all():

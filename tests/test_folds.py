@@ -146,10 +146,13 @@ class TestFoldsOntoClique:
         assert set(trace.result_vertices) == {0, 1, 2}
 
     def test_trace_is_a_valid_fold_sequence(self):
-        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (2, 4)])
+        # K3 with a vertex seeing 0 and 1, and a pendant on that vertex
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (3, 4)])
         trace = folds_onto_clique(g, 3)
-        if trace is not None:
-            _replay(g, trace.steps)
+        assert trace is not None and len(trace.steps) == 2
+        adj = _replay(g, trace.steps)
+        assert sorted(adj) == list(trace.result_vertices)
+        assert all(len(adj[v]) == 2 for v in adj)
 
     def test_sixteen_vertices_of_pendants_on_a_clique(self):
         g = Graph(16, [(u, v) for u in range(4) for v in range(u + 1, 4)]
