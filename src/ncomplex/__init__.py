@@ -27,7 +27,6 @@ from .complexes import (
     SimplicialComplex,
     certify_connectivity,
     neighborhood_complex,
-    suspension,
 )
 from .homology import (
     ConnectivityBound,

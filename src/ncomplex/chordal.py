@@ -1,14 +1,12 @@
-"""Chordality, elimination orders, clique structure, weak triangulation.
+"""Chordality, clique structure, weak triangulation.
 
-Recognition runs lexicographic BFS and validates the resulting elimination
-order directly, so a True answer carries its own certificate. A False answer
-comes with an induced cycle of length at least four.
-
-One hole search serves chordality (a chordless cycle of four or more
-vertices) and weak triangulation (one of five or more, in G or in its
+One hole search decides both chordality (no chordless cycle of four or more
+vertices) and weak triangulation (none of five or more, in G or in its
 complement; Hayward 1985). It joins the ends of each induced path on three
 or four vertices by a shortest path that avoids the closed neighborhoods of
 the path's interior, so it takes polynomial time and needs no vertex cap.
+The search is complete, so a graph is chordal exactly when it finds no
+hole, and a False answer carries the hole it found.
 """
 from __future__ import annotations
 
@@ -22,11 +20,7 @@ from .graph import complement
 @dataclass(frozen=True)
 class ChordalityResult:
     chordal: bool
-    elimination_order: tuple | None
     hole: tuple | None
-
-    def __bool__(self):
-        return self.chordal
 
 
 @dataclass(frozen=True)
@@ -34,52 +28,6 @@ class WeakTriangulationResult:
     holds: bool
     witness_kind: str | None = None
     witness: tuple | None = None
-
-    def __bool__(self):
-        return self.holds
-
-
-def lex_bfs_order(G):
-    """Lexicographic BFS visit order, lowest index first on ties."""
-    partitions = [list(range(G.n))]
-    adj = G.adjacency
-    order = []
-    while partitions:
-        cls = partitions[0]
-        v = min(cls)
-        cls.remove(v)
-        if not cls:
-            partitions.pop(0)
-        order.append(v)
-        refined = []
-        for block in partitions:
-            inside = [u for u in block if u in adj[v]]
-            outside = [u for u in block if u not in adj[v]]
-            if inside:
-                refined.append(inside)
-            if outside:
-                refined.append(outside)
-        partitions = refined
-    return tuple(order)
-
-
-def _is_elimination_order(G, order):
-    """Check the perfect-elimination property: later neighbors form a clique.
-
-    It suffices to verify that all later neighbors of v, beyond the first,
-    are adjacent to that first one.
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    adj = G.adjacency
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=pos.__getitem__)
-        for u in later:
-            if u != first and u not in adj[first]:
-                return False
-    return True
 
 
 def _find_hole(G, length):
@@ -124,16 +72,10 @@ def _find_hole(G, length):
 
 
 def is_chordal(G):
-    """Chordality with a certificate either way.
-
-    True answers carry a perfect elimination order; False answers carry an
-    induced cycle of length at least four.
-    """
-    order = tuple(reversed(lex_bfs_order(G)))
-    if _is_elimination_order(G, order):
-        return ChordalityResult(True, order, None)
+    """Chordality; a False answer carries an induced cycle of length at
+    least four, the first hole the search finds."""
     hole = _find_hole(G, 4)
-    return ChordalityResult(False, None, hole)
+    return ChordalityResult(hole is None, hole)
 
 
 def simplicial_vertices(G):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .graph import json_field
+from .graph import json_field, json_int
 
 
 class SimplicialComplex:
@@ -95,7 +95,7 @@ class SimplicialComplex:
     def from_json(cls, text):
         obj = json.loads(text)
         facets = json_field(obj, "facets",
-                            lambda fs: [frozenset(int(v) for v in f) for f in fs])
+                            lambda fs: [frozenset(json_int(v) for v in f) for f in fs])
         return cls.from_faces(facets)
 
 
@@ -111,16 +111,6 @@ def neighborhood_complex(G):
     if not nbhds:
         return SimplicialComplex([frozenset()])
     return SimplicialComplex.from_faces(nbhds)
-
-
-def suspension(X):
-    """Join with two fresh apex vertices; shifts reduced homology up one."""
-    if X.is_void:
-        raise ValueError("cannot suspend the void complex")
-    top = max(X.vertices, default=-1)
-    a, b = top + 1, top + 2
-    facets = [f | {a} for f in X.facets] + [f | {b} for f in X.facets]
-    return SimplicialComplex(facets)
 
 
 def _extension_check(G, alive, v, depth):

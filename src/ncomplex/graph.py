@@ -22,6 +22,13 @@ def json_field(obj, name, parse):
         raise ValueError(f"JSON field {name!r} is missing or malformed") from exc
 
 
+def json_int(value):
+    """`value` if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 class Graph:
     """Immutable simple graph. Equality and hashing use (n, edges) only."""
 
@@ -94,8 +101,9 @@ class Graph:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        n = json_field(obj, "n", int)
-        edges = json_field(obj, "edges", lambda es: [(int(u), int(v)) for u, v in es])
+        n = json_field(obj, "n", json_int)
+        edges = json_field(obj, "edges",
+                           lambda es: [(json_int(u), json_int(v)) for u, v in es])
         labels = None
         if "labels" in obj and obj["labels"]:
             labels = json_field(obj, "labels",

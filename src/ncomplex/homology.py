@@ -42,9 +42,6 @@ class BoundaryMatrix:
     cols: tuple   # dim-faces, lexicographic
     entries: dict  # (row index, col index) -> +1 / -1
 
-    def shape(self):
-        return (len(self.rows), len(self.cols))
-
 
 @dataclass(frozen=True)
 class HomologyGroup:

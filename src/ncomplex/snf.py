@@ -6,10 +6,11 @@ Two independent routes are kept deliberately separate:
   pivots eliminate the bulk of a boundary matrix with no divisions: the
   shortest row holding a +-1 entry goes first, pivoting on that entry in
   its sparsest column. Whatever remains, which for torsion-free complexes
-  is nothing, goes through a classical invariant-factor reduction. The
-  Smith form is unique, so the pivot order changes the cost, not the
-  result. The columns of the unit pivots are reported alongside it, for
-  `homology` to clear the matching rows of the next boundary.
+  is nothing, Euclid's algorithm brings to a diagonal, and a gcd/lcm pass
+  over its pairs puts that in divisibility order. The Smith form is
+  unique, so the pivot order changes the cost, not the result. The
+  columns of the unit pivots are reported alongside it, for `homology` to
+  clear the matching rows of the next boundary.
 * `rank_over_rationals` runs fraction-free cross-multiplication
   elimination, normalizing rows by their gcd to keep entries small.
 
@@ -107,61 +108,45 @@ def _unit_pivot_phase(rows, cols):
 def _classical_invariant_factors(rows):
     """Invariant factors of a small residual matrix, by textbook reduction.
 
-    Repeatedly brings the entry of least magnitude to the pivot, reduces its
-    row and column by division with remainder, and folds in any entry the
-    pivot fails to divide, so the factors come out in divisibility order.
+    Euclid on the entry of least magnitude: reducing its row and column by
+    division with remainder either clears them, leaving the pivot alone on
+    the diagonal, or leaves a smaller remainder to pivot on next. Replacing
+    each diagonal pair (d_i, d_j), i < j, by (gcd, lcm) then sorts every
+    prime's exponents, so the factors come out in divisibility order.
     """
-    cells = {}
-    for r, row in rows.items():
-        for c, v in row.items():
-            cells[(r, c)] = v
-    factors = []
+    cells = {(r, c): v for r, row in rows.items() for c, v in row.items()}
+
+    def subtract(target, q, source):
+        # cells[t] -= q * cells[s] for each pair, so zero cells stay absent
+        for t, s in zip(target, source):
+            nv = cells.get(t, 0) - q * cells[s]
+            if nv:
+                cells[t] = nv
+            else:
+                cells.pop(t, None)
+
+    diagonal = []
     while cells:
         (r0, c0), piv = min(cells.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-        if piv < 0:
-            for c in [c for (r, c) in cells if r == r0]:
-                cells[(r0, c)] = -cells[(r0, c)]
-            piv = cells[(r0, c0)]
-        col_rest = [r for (r, c) in cells if c == c0 and r != r0]
-        row_rest = [c for (r, c) in cells if r == r0 and c != c0]
-        dirty = False
-        for r in col_rest:
-            q = cells[(r, c0)] // piv
-            if q:
-                for c in [c for (rr, c) in cells if rr == r0]:
-                    nv = cells.get((r, c), 0) - q * cells[(r0, c)]
-                    if nv:
-                        cells[(r, c)] = nv
-                    else:
-                        cells.pop((r, c), None)
-            if (r, c0) in cells:
-                dirty = True
-        for c in row_rest:
-            q = cells[(r0, c)] // piv
-            if q:
-                for r in [r for (r, cc) in cells if cc == c0]:
-                    nv = cells.get((r, c), 0) - q * cells[(r, c0)]
-                    if nv:
-                        cells[(r, c)] = nv
-                    else:
-                        cells.pop((r, c), None)
-            if (r0, c) in cells:
-                dirty = True
-        if dirty:
-            continue
-        # pivot row and column are clear; enforce divisibility of the rest
-        offender = next(((r, c) for (r, c), v in cells.items()
-                         if (r, c) != (r0, c0) and v % piv != 0), None)
-        if offender is not None:
-            r1 = offender[0]
-            for c in [c for (r, c) in cells if r == r1]:
-                cells[(r0, c)] = cells.get((r0, c), 0) + cells[(r1, c)]
-                if cells[(r0, c)] == 0:
-                    del cells[(r0, c)]
-            continue
-        factors.append(abs(piv))
-        del cells[(r0, c0)]
-    return factors
+        # row operations leave the pivot row as it is, column operations
+        # the pivot column
+        line = [c for (r, c) in cells if r == r0]
+        for r in [r for (r, c) in cells if c == c0 and r != r0]:
+            subtract([(r, c) for c in line], cells[(r, c0)] // piv,
+                     [(r0, c) for c in line])
+        line = [r for (r, c) in cells if c == c0]
+        for c in [c for (r, c) in cells if r == r0 and c != c0]:
+            subtract([(r, c) for r in line], cells[(r0, c)] // piv,
+                     [(r, c0) for r in line])
+        # no cell shares just one of the pivot's row and column
+        if all((r == r0) == (c == c0) for (r, c) in cells):
+            diagonal.append(abs(piv))
+            del cells[(r0, c0)]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return diagonal
 
 
 def smith_normal_form(entries):

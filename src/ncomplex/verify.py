@@ -261,7 +261,7 @@ def verify_queen_table():
     report = VerificationReport("queen-table")
     for (m, n), want_betti in sorted(QUEEN_HOMOLOGY_TABLE.items()):
         G = queen_graph(m, n)
-        hom = reduced_homology(neighborhood_complex(G), 3, source=f"queen-{m}x{n}")
+        hom = reduced_homology(neighborhood_complex(G), 3)
         report.homology[(m, n)] = hom
         want = [[b, []] for b in want_betti]
         got = group_data(hom)
@@ -277,7 +277,7 @@ def verify_counterexample():
     report = VerificationReport("counterexample")
     G = counterexample_graph()
     cut = vertex_connectivity(G)
-    hom = reduced_homology(neighborhood_complex(G), 2, source="counterexample")
+    hom = reduced_homology(neighborhood_complex(G), 2)
     expected = {"kappa": 1, "groups": [[0, []], [0, []], [3, []]]}
     observed = {"kappa": cut.kappa, "groups": group_data(hom)}
     report.instances_checked += 1
@@ -296,8 +296,7 @@ def verify_board_simple_connectivity():
             for n in range(2, 5):
                 G = gens[kind](m, n)
                 cert = certify_connectivity(G, board_removal_order(kind, m, n), 1)
-                hom = reduced_homology(neighborhood_complex(G), 1,
-                                       source=f"{kind}-{m}x{n}")
+                hom = reduced_homology(neighborhood_complex(G), 1)
                 ok = cert and hom.group(0).is_zero and hom.group(1).is_zero
                 report.instances_checked += 1
                 if not ok:

@@ -9,7 +9,9 @@ extension-chain certificates from rebuilt subgraphs and every neighbor
 subset.
 Vertex connectivity also has a reference flow routine that builds a fresh
 network for every pair and runs every flow to completion. Tests pit the
-real implementations against these.
+real implementations against these. The suspension of a complex, which
+the library does not need, is built here too, for tests of the homology
+shift.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from ncomplex.complexes import SimplicialComplex
 from ncomplex.connectivity import CutReport
 from ncomplex.graph import Graph, induced_subgraph, is_connected
-from ncomplex.homology import ConnectivityBound
+from ncomplex.homology import ConnectivityBound, reduced_homology
 
 
 @st.composite
@@ -400,6 +402,22 @@ def nerve(family):
     if not duals:
         return SimplicialComplex([frozenset()])
     return SimplicialComplex.from_faces(duals)
+
+
+def suspension(X):
+    """Join with two fresh apex vertices; shifts reduced homology up one."""
+    if X.is_void:
+        raise ValueError("cannot suspend the void complex")
+    top = max(X.vertices, default=-1)
+    a, b = top + 1, top + 2
+    facets = [f | {a} for f in X.facets] + [f | {b} for f in X.facets]
+    return SimplicialComplex(facets)
+
+
+def groups_of(X, max_dim, method="smith"):
+    """(betti, torsion) of each reduced homology group up to `max_dim`."""
+    rep = reduced_homology(X, max_dim, method=method)
+    return [(g.betti, g.torsion) for g in rep.groups]
 
 
 def homological_connectivity(report):

@@ -16,7 +16,6 @@ from ncomplex.graph import (
     path_graph,
     queen_graph,
 )
-from ncomplex.homology import reduced_homology
 from ncomplex.verify import (
     QUEEN_HOMOLOGY_TABLE,
     board_removal_order,
@@ -26,16 +25,17 @@ from ncomplex.verify import (
     verify_stiff_chordal,
 )
 
-from conftest import brute_force_kappa, naive_chordal, reversed_labels, seeded_graphs
+from conftest import (
+    brute_force_kappa,
+    groups_of,
+    naive_chordal,
+    reversed_labels,
+    seeded_graphs,
+)
 
 
 def report_line(name, ok, detail=""):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
-
-
-def groups_of(X, max_dim, method="smith"):
-    rep = reduced_homology(X, max_dim, method=method)
-    return [(g.betti, g.torsion) for g in rep.groups]
 
 
 def test_acceptance_queen_homology_table():

@@ -8,7 +8,8 @@ import pytest
 
 import ncomplex
 from ncomplex.cli import main
-from ncomplex.graph import complete_graph
+from ncomplex.complexes import neighborhood_complex
+from ncomplex.graph import complete_graph, queen_graph
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,12 @@ class TestHomology:
         (["analyze"], '{"n": 3, "edges": null}', "edges"),
         (["homology", "--complex"], '{"facets": 5}', "facets"),
         (["homology", "--complex"], '{"facets": [[0, "a"], [1, 2]]}', "facets"),
+        (["analyze"], '{"n": 3, "edges": [[0, 1.7], [true, 2]]}', "edges"),
+        (["analyze"], '{"n": 3, "edges": [[true, 2]]}', "edges"),
+        (["analyze"], '{"n": 2.5, "edges": []}', "n"),
+        (["analyze"], '{"n": true, "edges": []}', "n"),
+        (["homology", "--complex"], '{"facets": [[0, 1.5], [2.9, 0]]}', "facets"),
+        (["homology", "--complex"], '{"facets": [[0, false], [1, 2]]}', "facets"),
     ])
     def test_malformed_json_exit_code(self, capsys, tmp_path, argv, text, field):
         path = tmp_path / "bad.json"
@@ -234,13 +241,14 @@ class TestVerify:
         real = ncomplex.verify.reduced_homology
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("source"))
+            calls.append(args[0])
             return real(*args, **kwargs)
         for module in (ncomplex.verify, ncomplex.cli):
             monkeypatch.setattr(module, "reduced_homology", counted)
         code, out, _ = run_cli(capsys, "verify", "queen-table", "--format", "table")
         assert code == 0
-        assert calls == ["queen-2x2", "queen-2x3"]
+        assert calls == [neighborhood_complex(queen_graph(2, 2)),
+                         neighborhood_complex(queen_graph(2, 3))]
         head, _, *rows, summary = out.splitlines()
         assert head.split()[1:] == ["(2,2)", "(2,3)"]
         assert [row.split()[1:] for row in rows] == [["0", "0"], ["0", "0"],

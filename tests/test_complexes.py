@@ -9,7 +9,6 @@ from ncomplex.complexes import (
     _extension_check,
     certify_connectivity,
     neighborhood_complex,
-    suspension,
 )
 from ncomplex.graph import (
     Graph,
@@ -20,16 +19,18 @@ from ncomplex.graph import (
     random_chordal_graph,
 )
 from ncomplex.connectivity import vertex_connectivity
-from ncomplex.homology import connectivity_of_complex, reduced_homology
+from ncomplex.homology import connectivity_of_complex
 from ncomplex.verify import board_removal_order, chordal_shelling_order
 
 from conftest import (
     brute_force_certify,
     common_neighborhood,
     graphs,
+    groups_of,
     has_face,
     nerve,
     seeded_graphs,
+    suspension,
 )
 
 HOLLOW_TRIANGLE = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
@@ -39,11 +40,6 @@ def assert_antichain(X):
     for a in X.facets:
         for b in X.facets:
             assert not a < b
-
-
-def groups_of(X, max_dim):
-    rep = reduced_homology(X, max_dim)
-    return [(g.betti, g.torsion) for g in rep.groups]
 
 
 def has_full_skeleton(X, ground, k):

@@ -46,6 +46,13 @@ class TestSmithNormalForm:
         form = smith_normal_form(entries_of([[2, 0], [0, 3]]))
         assert form.factors == (1, 6)
 
+    def test_unsorted_diagonals(self):
+        def diag(*d):
+            return {(i, i): v for i, v in enumerate(d)}
+        assert smith_normal_form(diag(4, 6, 10)).factors == (2, 2, 60)
+        # a gcd/lcm pass over adjacent entries alone would leave (2, 15, 30)
+        assert smith_normal_form(diag(6, 10, 15)).factors == (1, 30, 30)
+
     def test_k4_edge_boundary(self):
         B = boundary_matrix(neighborhood_complex(complete_graph(4)), 1)
         form = smith_normal_form(B.entries)
