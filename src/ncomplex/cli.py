@@ -126,9 +126,8 @@ def _queen_grid(report):
     width = max(6, max(len(v) for col in columns.values() for v in col) + 1)
     head = "k\\(m,n) " + " ".join(f"({m},{n})".rjust(width) for m, n in cells)
     lines = [head, "-" * len(head)]
-    for k in range(4):
-        row = f"{k:<8} " + " ".join(columns[c][k].rjust(width) for c in cells)
-        lines.append(row)
+    for k, row in enumerate(zip(*(columns[c] for c in cells))):
+        lines.append(f"{k:<8} " + " ".join(v.rjust(width) for v in row))
     return "\n".join(lines)
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import (
-    clique_number,
     cut_apex_property,
     is_chordal,
     is_weakly_triangulated,
+    maximal_cliques,
     simplicial_vertices,
 )
 from .complexes import certify_connectivity, neighborhood_complex
@@ -179,13 +179,12 @@ def random_graphs(count, max_n, seed, connected=False, min_n=2):
     return out
 
 
-def board_removal_order(kind, m, n):
+def board_removal_order(m, n):
     """Vertex removal order that shrinks an m-by-n board to its 2-by-2 core,
-    one added square at a time: last columns first, then extra rows."""
+    one added square at a time, last columns first, then extra rows; one
+    order serves queen and king boards."""
     if m < 2 or n < 2:
         raise ValueError("boards need both sides at least 2")
-    if kind not in ("queen", "king"):
-        raise ValueError("kind must be 'queen' or 'king'")
     adds = []
     for p in range(3, m + 1):
         adds.extend([(p, 1), (p, 2)])
@@ -194,25 +193,27 @@ def board_removal_order(kind, m, n):
     return [(i - 1) * n + (j - 1) for i, j in reversed(adds)]
 
 
-def chordal_shelling_order(G, connectivity_floor):
-    """Order of simplicial-vertex removals that keeps the graph above a
-    connectivity floor and preserves its clique number, ending on a complete
-    core. Returns None when stuck."""
+def chordal_shelling_order(G):
+    """Simplicial-vertex removals down to a complete core, each the first
+    simplicial vertex that some maximum clique avoids; None when stuck. The
+    clique number stays omega(G) and kappa never drops below kappa(G):
+    (a) removing a simplicial v from a non-complete graph never lowers
+    kappa: N(v) is a clique, so it meets at most one component of G-v-S and
+    every separator S of G-v still separates G; if G-v is complete,
+    kappa(G) <= deg v <= |G|-2 = kappa(G-v). (b) omega(G-v) = omega(G)
+    exactly when some maximum clique of G avoids v."""
     order = []
     alive = list(range(G.n))
     cur = G
-    # every accepted removal keeps the clique number, so it is computed once
-    w = clique_number(G)
     while not cur.is_complete():
-        for v in simplicial_vertices(cur):
-            nxt = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
-            if (clique_number(nxt) == w
-                    and vertex_connectivity(nxt).kappa >= connectivity_floor):
-                break
-        else:
+        cliques = maximal_cliques(cur)
+        w = max(len(c) for c in cliques)
+        shared = frozenset.intersection(*(c for c in cliques if len(c) == w))
+        v = next((v for v in simplicial_vertices(cur) if v not in shared), None)
+        if v is None:
             return None
         order.append(alive.pop(v))
-        cur = nxt
+        cur = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
     return order
 
 
@@ -290,12 +291,11 @@ def verify_board_simple_connectivity():
     """Extension-chain certificates at level 1 for queen and king boards,
     cross-checked by vanishing first homology."""
     report = VerificationReport("queen-king")
-    gens = {"queen": queen_graph, "king": king_graph}
-    for kind in ("queen", "king"):
+    for kind, gen in (("queen", queen_graph), ("king", king_graph)):
         for m in range(2, 5):
             for n in range(2, 5):
-                G = gens[kind](m, n)
-                cert = certify_connectivity(G, board_removal_order(kind, m, n), 1)
+                G = gen(m, n)
+                cert = certify_connectivity(G, board_removal_order(m, n), 1)
                 hom = reduced_homology(neighborhood_complex(G), 1)
                 ok = cert and hom.group(0).is_zero and hom.group(1).is_zero
                 report.instances_checked += 1
@@ -369,7 +369,7 @@ def verify_lovasz_bound(count=100, seed=1):
             # simple connectivity certificate makes the homological value exact
             m, n = item
             G = queen_graph(m, n)
-            if not certify_connectivity(G, board_removal_order("queen", m, n), 1):
+            if not certify_connectivity(G, board_removal_order(m, n), 1):
                 report.skip(f"queen board {m}x{n}", "no simple-connectivity certificate")
                 continue
             bound = connectivity_of_complex(neighborhood_complex(G), 4)
@@ -427,7 +427,7 @@ def verify_chordal_fold_connectivity(count=24, seed=1):
         if folds_onto_clique(g, n + 2) is not None:
             report.skip(f"seed {s}", f"folds onto clique of size {n + 2}: yes")
             continue
-        order = chordal_shelling_order(g, n + 1)
+        order = chordal_shelling_order(g)
         cert = order is not None and certify_connectivity(g, order, n)
         bound = connectivity_of_complex(neighborhood_complex(g), n)
         homology_ok = bound.value >= n

@@ -6,7 +6,9 @@ and minimum cuts from exhaustive subset removal, Smith forms from gcds of
 minors, faces of a neighborhood complex from common neighborhoods and
 nerves, whether a graph folds onto a clique from every fold sequence, and
 extension-chain certificates from rebuilt subgraphs and every neighbor
-subset.
+subset. The chordal certificate order has a reference that tries each
+simplicial removal on a rebuilt subgraph against the clique number and a
+vertex-connectivity floor.
 Vertex connectivity also has a reference flow routine that builds a fresh
 network for every pair and runs every flow to completion. Tests pit the
 real implementations against these. The suspension of a complex, which
@@ -21,8 +23,9 @@ from math import gcd
 
 from hypothesis import strategies as st
 
+from ncomplex.chordal import clique_number, simplicial_vertices
 from ncomplex.complexes import SimplicialComplex
-from ncomplex.connectivity import CutReport
+from ncomplex.connectivity import CutReport, vertex_connectivity
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 from ncomplex.homology import ConnectivityBound, reduced_homology
 
@@ -385,6 +388,28 @@ def brute_force_certify(G, order, k):
                 if not common_neighborhood(H, subset) - {hv}:
                     return False
     return True
+
+
+def reference_shelling_order(G, connectivity_floor):
+    """Order of simplicial-vertex removals ending on a complete core, each
+    tried on a rebuilt subgraph and kept when that subgraph has G's clique
+    number and vertex connectivity at least `connectivity_floor`; None when
+    stuck."""
+    order = []
+    alive = list(range(G.n))
+    cur = G
+    w = clique_number(G)
+    while not cur.is_complete():
+        for v in simplicial_vertices(cur):
+            nxt = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
+            if (clique_number(nxt) == w
+                    and vertex_connectivity(nxt).kappa >= connectivity_floor):
+                break
+        else:
+            return None
+        order.append(alive.pop(v))
+        cur = nxt
+    return order
 
 
 def has_face(X, face):

@@ -71,7 +71,7 @@ def test_acceptance_board_simple_connectivity():
         for m in range(2, 5):
             for n in range(2, 5):
                 G = gen(m, n)
-                cert = certify_connectivity(G, board_removal_order(kind, m, n), 1)
+                cert = certify_connectivity(G, board_removal_order(m, n), 1)
                 hom = groups_of(neighborhood_complex(G), 1)
                 if not cert or hom != [(0, ()), (0, ())]:
                     failures.append((kind, m, n, cert, hom))
@@ -145,7 +145,7 @@ def test_acceptance_lovasz_bound():
 
 
 def test_acceptance_oracle_equivalences():
-    """Independent oracles agree: lex-BFS chordality vs naive elimination,
+    """Independent oracles agree: hole-search chordality vs naive elimination,
     flow connectivity vs exhaustive separators, Smith vs rational-rank
     Betti numbers."""
     chordal_corpus = seeded_graphs(250, 9, seed=401, min_n=1, density=0.35)

@@ -18,7 +18,6 @@ from ncomplex.graph import (
     queen_graph,
     random_chordal_graph,
 )
-from ncomplex.connectivity import vertex_connectivity
 from ncomplex.homology import connectivity_of_complex
 from ncomplex.verify import board_removal_order, chordal_shelling_order
 
@@ -262,14 +261,22 @@ class TestExtensionProperty:
 
 class TestCertificates:
     def test_boards_certify_level_one(self):
-        for kind, gen in (("queen", queen_graph), ("king", king_graph)):
+        for gen in (queen_graph, king_graph):
             for m, n in [(2, 3), (3, 3), (4, 3)]:
                 g = gen(m, n)
-                order = board_removal_order(kind, m, n)
+                order = board_removal_order(m, n)
                 assert certify_connectivity(g, order, 1) is True
                 base = [v for v in range(g.n) if v not in order]
                 assert len(base) >= 4
                 assert all(g.has_edge(u, v) for u, v in combinations(base, 2))
+
+    def test_one_board_order_certifies_queen_and_king_boards(self):
+        # corollary (i): the complexes of queen and king boards are simply
+        # connected, here with one removal order for both kinds of board
+        for gen in (queen_graph, king_graph):
+            for m in range(2, 9):
+                for n in range(2, 9):
+                    assert certify_connectivity(gen(m, n), board_removal_order(m, n), 1)
 
     def test_complete_base(self):
         assert certify_connectivity(complete_graph(5), [], 2) is True
@@ -286,7 +293,7 @@ class TestCertificates:
     def test_certified_graphs_have_vanishing_low_homology(self):
         for m, n in [(2, 3), (3, 3)]:
             g = queen_graph(m, n)
-            assert certify_connectivity(g, board_removal_order("queen", m, n), 1) is True
+            assert certify_connectivity(g, board_removal_order(m, n), 1) is True
             X = neighborhood_complex(g)
             assert groups_of(X, 1) == [(0, ()), (0, ())]
 
@@ -319,14 +326,14 @@ class TestCertificates:
     def test_boards_and_chordal_corpus_match_oracle(self):
         certified = 0
         cases = []
-        for kind, gen in (("queen", queen_graph), ("king", king_graph)):
+        for gen in (queen_graph, king_graph):
             for m in range(2, 7):
                 for n in range(2, 7):
-                    cases.append((gen(m, n), board_removal_order(kind, m, n)))
+                    cases.append((gen(m, n), board_removal_order(m, n)))
         for seed in range(1, 61):
             g, _ = random_chordal_graph(3, (4, 5), 2, seed=seed)
             if not g.is_complete():
-                order = chordal_shelling_order(g, vertex_connectivity(g).kappa)
+                order = chordal_shelling_order(g)
                 if order is not None:
                     cases.append((g, order))
         for g, order in cases:

@@ -24,6 +24,32 @@ def small_matrices(draw):
     return [[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)]
 
 
+@st.composite
+def scrambled_diagonals(draw):
+    """U * D * V for a diagonal D whose entries share a factor of at least
+    2, so no entry is +-1 and the unit pivots leave the whole matrix to the
+    residual reduction, and U, V products of elementary row and column
+    operations. The entries of D come from products of 2, 3 and 5, so they
+    often fail to divide each other and need reordering."""
+    rows = draw(st.integers(2, 4))
+    cols = draw(st.integers(2, 4))
+    shared = draw(st.integers(2, 3))
+    parts = st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30])
+    matrix = [[0] * cols for _ in range(rows)]
+    for i in range(min(rows, cols)):
+        matrix[i][i] = shared * draw(parts)
+    for _ in range(draw(st.integers(0, 8))):
+        on_rows = draw(st.booleans())
+        i, j = draw(st.permutations(range(rows if on_rows else cols)))[:2]
+        q = draw(st.sampled_from([-2, -1, 1, 2]))
+        if on_rows:
+            matrix[i] = [a + q * b for a, b in zip(matrix[i], matrix[j])]
+        else:
+            for row in matrix:
+                row[i] += q * row[j]
+    return matrix
+
+
 class TestSmithNormalForm:
     def test_diagonal_input(self):
         form = smith_normal_form(entries_of([[2, 0], [0, 6]]))
@@ -73,6 +99,12 @@ class TestSmithNormalForm:
         factors = form.factors
         assert all(d > 0 for d in factors)
         assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+
+    @given(scrambled_diagonals())
+    @settings(max_examples=150, deadline=None)
+    def test_scrambled_diagonals_against_oracle(self, matrix):
+        form = smith_normal_form(entries_of(matrix))
+        assert list(form.factors) == minors_gcd_smith(matrix)
 
     def test_unitless_matrices_against_oracle(self):
         # force the classical tail to do all the work: no +-1 entries at all

@@ -2,8 +2,11 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
 
-from ncomplex.graph import Graph, complete_graph
+from ncomplex.chordal import simplicial_vertices
+from ncomplex.connectivity import vertex_connectivity
+from ncomplex.graph import Graph, complete_graph, induced_subgraph, random_chordal_graph
 from ncomplex.complexes import neighborhood_complex
 from ncomplex.homology import reduced_homology
 from ncomplex.verify import (
@@ -25,6 +28,13 @@ from ncomplex.verify import (
     verify_mycielskian_shift,
     verify_queen_table,
     verify_stiff_chordal,
+)
+
+from conftest import (
+    brute_force_kappa,
+    brute_force_maximal_cliques,
+    graphs,
+    reference_shelling_order,
 )
 
 
@@ -81,14 +91,46 @@ class TestOverlay:
 
 class TestOrders:
     def test_board_removal_order_covers_added_squares(self):
-        order = board_removal_order("queen", 3, 3)
+        order = board_removal_order(3, 3)
         assert len(order) == 9 - 4
         assert len(set(order)) == len(order)
 
     def test_chordal_shelling_reaches_complete_core(self):
         g = overlay_graphs(complete_graph(4), complete_graph(4), frozenset({0, 1}))
-        order = chordal_shelling_order(g, 2)
+        order = chordal_shelling_order(g)
         assert order is not None and len(order) == 2
+
+    @given(graphs(min_n=2, max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_simplicial_removal_never_lowers_connectivity(self, g):
+        # lemma (a) of chordal_shelling_order
+        assume(not g.is_complete())
+        kappa = brute_force_kappa(g)
+        for v in simplicial_vertices(g):
+            rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
+            assert brute_force_kappa(rest) >= kappa
+
+    @given(graphs(min_n=2, max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_removal_keeps_clique_number_iff_a_maximum_clique_avoids_it(self, g):
+        # lemma (b) of chordal_shelling_order
+        assume(not g.is_complete())
+        cliques = brute_force_maximal_cliques(g)
+        w = max(len(c) for c in cliques)
+        for v in simplicial_vertices(g):
+            rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
+            kept = max(len(c) for c in brute_force_maximal_cliques(rest)) == w
+            assert kept is any(v not in c for c in cliques if len(c) == w)
+
+    def test_shelling_order_matches_connectivity_floor_reference(self):
+        corpus = [random_chordal_graph(3, (4, 5), 2, seed=s)[0] for s in range(1, 61)]
+        corpus += [random_chordal_graph(6, (3, 6), 1, seed=s)[0] for s in range(1, 61)]
+        removals = 0
+        for g in corpus:
+            order = chordal_shelling_order(g)
+            assert order == reference_shelling_order(g, vertex_connectivity(g).kappa)
+            removals += len(order or ())
+        assert removals > 100
 
 
 class TestVerifiers:
