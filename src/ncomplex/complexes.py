@@ -1,11 +1,11 @@
 """Abstract simplicial complexes stored by their maximal faces.
 
-A complex holds only its facets (an antichain of frozensets); faces of a
-given dimension are enumerated on demand. Two degenerate values matter and
-are distinct: the void complex (no faces at all, `facets == frozenset()`)
-and the empty complex (just the empty face, `facets == {frozenset()}`).
-The neighborhood complex of a graph with vertices but no edges is the
-latter, never the former.
+A complex holds its facets (an antichain of frozensets); faces of a given
+dimension are computed on first demand and kept per degree. Two degenerate
+values matter and are distinct: the void complex (no faces at all,
+`facets == frozenset()`) and the empty complex (just the empty face,
+`facets == {frozenset()}`). The neighborhood complex of a graph with
+vertices but no edges is the latter, never the former.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .graph import json_field, json_int
 class SimplicialComplex:
     """Immutable complex defined by its facets."""
 
-    __slots__ = ("facets", "_vertices")
+    __slots__ = ("facets", "_vertices", "_faces")
 
     def __init__(self, facets):
         facets = frozenset(frozenset(f) for f in facets)
@@ -28,6 +28,7 @@ class SimplicialComplex:
                     raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
         self.facets = facets
         self._vertices = None
+        self._faces = {}  # k -> sorted k-faces; the facets never change
 
     @classmethod
     def from_faces(cls, faces):
@@ -60,17 +61,20 @@ class SimplicialComplex:
     def faces(self, k):
         """All k-dimensional faces as sorted tuples, in lexicographic order.
 
-        k = -1 yields the empty face (for any non-void complex).
+        k = -1 yields the empty face (for any non-void complex). Each call
+        returns a fresh list.
         """
         if self.is_void:
             return []
         if k == -1:
             return [()]
-        out = set()
-        for f in self.facets:
-            if len(f) >= k + 1:
-                out.update(combinations(sorted(f), k + 1))
-        return sorted(out)
+        if k not in self._faces:
+            out = set()
+            for f in self.facets:
+                if len(f) >= k + 1:
+                    out.update(combinations(sorted(f), k + 1))
+            self._faces[k] = sorted(out)
+        return list(self._faces[k])
 
     def face_count(self, k):
         return len(self.faces(k))

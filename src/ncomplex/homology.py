@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import combinations, count, islice
 from math import comb
 
 from .errors import CapExceededError
@@ -96,11 +96,12 @@ def boundary_matrix(X, k):
     rows = X.faces(k - 1)
     cols = X.faces(k)
     row_index = {f: i for i, f in enumerate(rows)}
+    # combinations(face, k) drops the vertex at position k first, then k - 1, ...
+    signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
     entries = {}
     for j, face in enumerate(cols):
-        for i in range(k + 1):
-            sub = face[:i] + face[i + 1:]
-            entries[(row_index[sub], j)] = -1 if i % 2 else 1
+        for sub, sign in zip(combinations(face, k), signs):
+            entries[(row_index[sub], j)] = sign
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
 
 

@@ -42,8 +42,14 @@ def _sparse_from_entries(entries):
     for (r, c), v in entries.items():
         if v == 0:
             continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        row = rows.get(r)
+        if row is None:
+            rows[r] = row = {}
+        row[c] = v
+        col = cols.get(c)
+        if col is None:
+            cols[c] = col = set()
+        col.add(r)
     return rows, cols
 
 
@@ -59,7 +65,10 @@ def _unit_pivot_phase(rows, cols):
 
     Each pivot clears its column by row operations, then its row and column
     are dropped: with the column already zero elsewhere, the implicit column
-    operations that would clear the pivot row touch nothing else.
+    operations that would clear the pivot row touch nothing else. The rows
+    it clears are visited in no particular order: each update reads only the
+    pivot row and writes only its own row, and the heap pops its entries in
+    (length, row) order whatever order they were pushed in.
     """
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
@@ -69,38 +78,53 @@ def _unit_pivot_phase(rows, cols):
         row = rows.get(r)
         if row is None or len(row) != length:
             continue
-        best = min(((len(cols[cc]), cc) for cc, v in row.items() if v in (1, -1)),
-                   default=None)
-        if best is None:
+        c = None
+        for cc, v in row.items():
+            if v == 1 or v == -1:
+                n = len(cols[cc])
+                if c is None or n < best or (n == best and cc < c):
+                    best, c = n, cc
+        if c is None:
             continue
-        c = best[1]
-        piv = row[c]
-        prow = rows.pop(r)
-        for c2 in prow:
-            cols[c2].discard(r)
-            if not cols[c2]:
+        del rows[r]
+        # the pivot is its own inverse: adding -pivot * row2[c] times the
+        # pivot row to row2 clears row2[c]
+        f = -row.pop(c)
+        for c2 in row:
+            col = cols[c2]
+            col.remove(r)
+            if not col:
                 del cols[c2]
-        for r2 in sorted(cols.pop(c, ())):
-            row2 = rows[r2]
-            factor = row2.pop(c) * piv
-            for c2, v2 in prow.items():
-                if c2 == c:
-                    continue
-                nv = row2.get(c2, 0) - factor * v2
-                if nv == 0:
-                    if c2 in row2:
+        others = cols.pop(c)
+        others.remove(r)
+        if others:
+            prow = list(row.items())
+            for r2 in others:
+                row2 = rows[r2]
+                factor = f * row2.pop(c)
+                for c2, v2 in prow:
+                    v = row2.get(c2)
+                    if v is None:
+                        row2[c2] = factor * v2
+                        col = cols.get(c2)
+                        if col is None:
+                            cols[c2] = {r2}
+                        else:
+                            col.add(r2)
+                        continue
+                    v += factor * v2
+                    if v:
+                        row2[c2] = v
+                    else:
                         del row2[c2]
-                        cols[c2].discard(r2)
-                        if not cols[c2]:
+                        col = cols[c2]
+                        col.remove(r2)
+                        if not col:
                             del cols[c2]
+                if row2:
+                    heapq.heappush(heap, (len(row2), r2))
                 else:
-                    if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
-                    row2[c2] = nv
-            if row2:
-                heapq.heappush(heap, (len(row2), r2))
-            else:
-                del rows[r2]
+                    del rows[r2]
         pivots.append(c)
     return pivots
 

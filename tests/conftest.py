@@ -10,13 +10,17 @@ subset. The chordal certificate order has a reference that tries each
 simplicial removal on a rebuilt subgraph against the clique number and a
 vertex-connectivity floor.
 Vertex connectivity also has a reference flow routine that builds a fresh
-network for every pair and runs every flow to completion. Tests pit the
+network for every pair and runs every flow to completion. The Smith
+route's unit-pivot phase and its boundary matrices have references in
+their first, plainer form, which fix the pivot order and the signs the
+faster library code must reproduce. Tests pit the
 real implementations against these. The suspension of a complex, which
 the library does not need, is built here too, for tests of the homology
 shift.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations, permutations
 from math import gcd
@@ -28,6 +32,7 @@ from ncomplex.complexes import SimplicialComplex
 from ncomplex.connectivity import CutReport, vertex_connectivity
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 from ncomplex.homology import ConnectivityBound, reduced_homology
+from ncomplex.snf import SmithForm, _classical_invariant_factors
 
 
 @st.composite
@@ -315,6 +320,73 @@ def minors_gcd_smith(matrix):
         factors.append(g // previous)
         previous = g
     return factors
+
+
+def reference_smith_normal_form(entries):
+    """SmithForm with the unit-pivot phase written plainly: rows and columns
+    built by setdefault, each pivot the row's +-1 entry minimising (column
+    length, column), and the pivot column's other rows updated in sorted
+    order. The residual goes to the library's classical reduction."""
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        length, r = heapq.heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != length:
+            continue
+        best = min(((len(cols[cc]), cc) for cc, v in row.items() if v in (1, -1)),
+                   default=None)
+        if best is None:
+            continue
+        c = best[1]
+        piv = row[c]
+        prow = rows.pop(r)
+        for c2 in prow:
+            cols[c2].discard(r)
+            if not cols[c2]:
+                del cols[c2]
+        for r2 in sorted(cols.pop(c, ())):
+            row2 = rows[r2]
+            factor = row2.pop(c) * piv
+            for c2, v2 in prow.items():
+                if c2 == c:
+                    continue
+                nv = row2.get(c2, 0) - factor * v2
+                if nv == 0:
+                    if c2 in row2:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                        if not cols[c2]:
+                            del cols[c2]
+                else:
+                    if c2 not in row2:
+                        cols.setdefault(c2, set()).add(r2)
+                    row2[c2] = nv
+            if row2:
+                heapq.heappush(heap, (len(row2), r2))
+            else:
+                del rows[r2]
+        pivots.append(c)
+    tail = _classical_invariant_factors(rows)
+    return SmithForm(len(pivots) + len(tail), (1,) * len(pivots) + tuple(tail),
+                     frozenset(pivots))
+
+
+def reference_boundary_entries(X, k):
+    """Entries of the boundary from k-chains, each subface sliced out of its
+    face and signed (-1)^i for the vertex dropped at sorted position i."""
+    row_index = {f: i for i, f in enumerate(X.faces(k - 1))}
+    entries = {}
+    for j, face in enumerate(X.faces(k)):
+        for i in range(k + 1):
+            entries[(row_index[face[:i] + face[i + 1:]], j)] = -1 if i % 2 else 1
+    return entries
 
 
 def reference_folds_onto_clique(G, p):

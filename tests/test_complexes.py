@@ -80,6 +80,32 @@ class TestSimplicialComplex:
         assert X.to_json() == '{"facets":[[0,3],[1,2]]}'
 
 
+class TestFaceMemo:
+    def test_repeated_calls_agree(self):
+        X = neighborhood_complex(queen_graph(3, 3))
+        for k in range(-1, X.dim + 2):
+            assert X.faces(k) == X.faces(k)
+        assert X.face_count(2) == len(X.faces(2))
+
+    def test_returned_list_is_the_callers_own(self):
+        X = SimplicialComplex([(0, 1, 2), (2, 3)])
+        first = X.faces(1)
+        first.append((7, 8))
+        first.sort(reverse=True)
+        assert X.faces(1) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        X.faces(-1).append((9,))
+        assert X.faces(-1) == [()]
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        X = SimplicialComplex([(0, 1, 2), (2, 3)])
+        Y = SimplicialComplex([(2, 3), (0, 1, 2)])
+        before = repr(X)
+        for k in range(3):
+            X.faces(k)
+        assert X == Y and hash(X) == hash(Y)
+        assert repr(X) == repr(Y) == before
+
+
 class TestNeighborhoodComplex:
     def test_complete_graph_sphere_facets(self):
         for p in (3, 4, 5):

@@ -21,6 +21,7 @@ from conftest import (
     graphs,
     groups_of,
     homological_connectivity,
+    reference_boundary_entries,
     seeded_graphs,
     suspension,
 )
@@ -90,13 +91,20 @@ class TestBoundaryMatrix:
     def test_augmentation_row(self):
         B = boundary_matrix(SOLID_TRIANGLE, 0)
         assert B.rows == ((),)
-        assert all(v == 1 for v in B.entries.values())
+        # combinations(face, 0) yields the empty face once, with sign +1
+        assert B.entries == {(0, j): 1 for j in range(3)}
 
     def test_boundary_squares_to_zero(self):
         for X in (SOLID_TRIANGLE, PROJECTIVE_PLANE,
                   neighborhood_complex(queen_graph(2, 3))):
             for k in range(1, 4):
                 assert multiply_is_zero(boundary_matrix(X, k), boundary_matrix(X, k + 1))
+
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sliced_reference(self, X):
+        for k in range(X.dim + 2):
+            assert boundary_matrix(X, k).entries == reference_boundary_entries(X, k)
 
     @given(graphs(max_n=6))
     @settings(max_examples=30, deadline=None)

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncomplex import snf
+from ncomplex import homology, snf
 from ncomplex.complexes import neighborhood_complex
 from ncomplex.graph import complete_graph, queen_graph
-from ncomplex.homology import boundary_matrix
+from ncomplex.homology import boundary_matrix, reduced_homology
 from ncomplex.snf import rank_over_rationals, smith_normal_form
 
-from conftest import minors_gcd_smith
+from conftest import minors_gcd_smith, reference_smith_normal_form
 
 
 def entries_of(matrix):
@@ -158,6 +158,49 @@ class TestUnitPivotPhase:
         assert form.rank == rank_over_rationals(B.entries)
         assert residuals == [{}]
         assert len(form.unit_pivot_cols) == form.rank
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Up to 8x8 with mostly +-1 entries, so that many rows hold several
+    unit pivots and the choice among them matters."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    cell = st.sampled_from([0, 0, 0, 1, 1, -1, -1, 2, -3])
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def cleared_queen_boundaries():
+    """Every Smith input `reduced_homology` builds, rows already cleared,
+    for the queen boards 2x5, 3x4 and 4x4 through degree 3."""
+    seen = []
+    real = homology.smith_normal_form
+
+    def recorded(entries):
+        seen.append(entries)
+        return real(entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "smith_normal_form", recorded)
+        for m, n in ((2, 5), (3, 4), (4, 4)):
+            reduced_homology(neighborhood_complex(queen_graph(m, n)), 3)
+    return seen
+
+
+class TestAgainstReferenceKernel:
+    """The kernel must reproduce the reference's pivots, not just its
+    factors: the pivot columns clear the rows of the next boundary."""
+
+    @given(unit_rich_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_matrices(self, matrix):
+        e = entries_of(matrix)
+        assert smith_normal_form(e) == reference_smith_normal_form(e)
+
+    def test_cleared_queen_boundaries(self):
+        inputs = cleared_queen_boundaries()
+        assert len(inputs) == 15 and sum(map(len, inputs)) > 10_000
+        for entries in inputs:
+            assert smith_normal_form(entries) == reference_smith_normal_form(entries)
 
 
 class TestRationalRank:
