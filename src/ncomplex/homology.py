@@ -23,6 +23,24 @@ columns of the unit pivots that `smith_normal_form` took on d_k:
 Only unit pivots clear rows; the classical reduction's pivots never do.
 The rational-rank route clears nothing and stays an independent check on
 the full matrices.
+
+The connectivity scan reduces a smaller chain complex, the one relative
+to the closed star st w of one apex vertex w (Munkres 1984, sections 9
+and 24):
+
+* st w is a cone on w, so its reduced homology vanishes, and the exact
+  sequence of the pair gives H~_k(X) = H_k(X, st w) for every k, over Z
+  and torsion included.
+* A face lies outside st w exactly when it misses w and is not in the
+  link lk w = {F - w : w in F}. So C(X)/C(st w) = C(X - w)/C(lk w), with
+  X - w the subcomplex of faces missing w. A face of X - w in no facet
+  that misses w lies in lk w, so the basis is the faces of the facets
+  that miss w, less those of lk w. The empty face lies in st w, so
+  degree -1 is empty.
+* The quotient boundary drops the subfaces that lie in st w; of a face
+  missing w these are the ones in lk w.
+* This is a chain complex with its faces in lexicographic order per
+  degree, so the clearing argument above holds on it unchanged.
 """
 from __future__ import annotations
 
@@ -31,6 +49,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, islice
 from math import comb
 
+from .complexes import SimplicialComplex
 from .errors import CapExceededError
 from .snf import rank_over_rationals, smith_normal_form
 
@@ -89,7 +108,9 @@ def boundary_matrix(X, k):
     """Boundary operator from k-chains to (k-1)-chains.
 
     For k = 0 the rows hold the single empty face, making the complex
-    augmented.
+    augmented. X may also be the faces outside a closed star
+    (`_OutsideStar`): a subface missing from its rows lies in the star and
+    is zero in the quotient, so it is skipped.
     """
     if k < 0:
         raise ValueError("boundary dimension must be non-negative")
@@ -101,8 +122,37 @@ def boundary_matrix(X, k):
     entries = {}
     for j, face in enumerate(cols):
         for sub, sign in zip(combinations(face, k), signs):
-            entries[(row_index[sub], j)] = sign
+            i = row_index.get(sub)
+            if i is not None:
+                entries[(i, j)] = sign
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
+
+
+class _OutsideStar:
+    """The faces of X outside the closed star of `apex`, lexicographic per
+    degree: the basis of C(X, st apex) (see the module docstring)."""
+
+    def __init__(self, X, apex):
+        self._far = SimplicialComplex([f for f in X.facets if apex not in f])
+        self._link = SimplicialComplex([f - {apex} for f in X.facets if apex in f])
+        self._faces = {}
+
+    def faces(self, k):
+        if k not in self._faces:
+            link = set(self._link.faces(k))
+            self._faces[k] = [f for f in self._far.faces(k) if f not in link]
+        return self._faces[k]
+
+
+def _apex(X):
+    """The vertex maximising the sum of 2^|F| over the facets F containing
+    it, which bounds the faces its closed star removes; ties go to the
+    lowest vertex."""
+    weight = {}
+    for f in X.facets:
+        for v in f:
+            weight[v] = weight.get(v, 0) + (1 << len(f))
+    return min(weight, key=lambda v: (-weight[v], v))
 
 
 # Largest number of faces in one degree that homology enumerates. Every
@@ -135,18 +185,20 @@ def _reduce(entries, method, cleared):
     return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
 
 
-def _homology_groups(X, method):
-    """Yield H~_0, H~_1, ... in turn, reducing each boundary once.
+def _homology_groups(X, method, chains):
+    """Yield H~_0, H~_1, ... of X in turn, reducing each boundary once.
 
-    H~_k needs d_k and d_{k+1}; each boundary is built only when the next
-    group asks for it, after its degree passes the face cap, and the unit
-    pivots of d_k clear the rows of d_{k+1}.
+    The boundaries are those of `chains`: X itself, or the faces of X
+    outside a closed star, whose groups are the same. H~_k needs d_k and
+    d_{k+1}; each boundary is built only when the next group asks for it,
+    after its degree of X passes the face cap, and the unit pivots of d_k
+    clear the rows of d_{k+1}.
     """
     _check_face_cap(X, 0)
-    rank_k, _, cleared = _reduce(boundary_matrix(X, 0).entries, method, frozenset())
+    rank_k, _, cleared = _reduce(boundary_matrix(chains, 0).entries, method, frozenset())
     for k in count():
         _check_face_cap(X, k + 1)
-        B = boundary_matrix(X, k + 1)
+        B = boundary_matrix(chains, k + 1)
         rank_next, torsion, cleared = _reduce(B.entries, method, cleared)
         # torsion of H~_k comes from the boundary out of degree k + 1
         yield HomologyGroup(k, len(B.rows) - rank_k - rank_next, torsion)
@@ -158,15 +210,25 @@ def reduced_homology(X, max_dim, method="smith", source=""):
 
     method="smith" computes invariant factors, so torsion is exact.
     method="rank" derives Betti numbers from fraction-free rank alone and
-    reports no torsion; it exists as an independent cross-check.
+    reports no torsion; it exists as an independent cross-check. Where the
+    groups reach X.dim, the reduced Euler characteristic must equal the
+    alternating sum of Betti numbers, or ArithmeticError is raised.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     for k in range(max_dim + 2):
         _check_face_cap(X, k)
     counts = tuple(X.face_count(k) for k in range(max_dim + 2))
+    groups = tuple(islice(_homology_groups(X, method, X), max_dim + 1))
+    if not X.is_void and max_dim >= X.dim:
+        euler = -1 + sum((-1) ** k * f for k, f in enumerate(counts))
+        # the empty complex has its one group, H~_{-1} = Z, below degree 0
+        betti = sum((-1) ** g.dim * g.betti for g in groups) - (not X.vertices)
+        if euler != betti:
+            raise ArithmeticError(
+                f"reduced Euler characteristic {euler} != alternating Betti sum {betti}")
     return HomologyReport(
-        groups=tuple(islice(_homology_groups(X, method), max_dim + 1)),
+        groups=groups,
         max_dim=max_dim,
         face_counts=counts[: max_dim + 1],
         source=source,
@@ -185,16 +247,22 @@ class ConnectivityBound:
 def connectivity_of_complex(X, dim_cap, method="smith"):
     """Homological connectivity computed degree by degree with early exit.
 
-    method="smith" also sees pure-torsion groups, so its early exit is
-    exact; the rank-only variant exists for cross-checks on torsion-free
-    complexes. A degree past the first nonzero group is never built, nor
-    checked against the face cap.
+    The groups come from the chain complex relative to the closed star of
+    `_apex(X)`, which has them all and fewer faces (see the module
+    docstring). method="smith" also sees pure-torsion groups, so its early
+    exit is exact; the rank-only variant exists for cross-checks on
+    torsion-free complexes. Each degree of X is checked against the face
+    cap just before it is built; a degree past the first nonzero group is
+    neither.
     """
+    if dim_cap < -1:
+        raise ValueError("dim_cap must be at least -1")
     if X.is_void:
         return ConnectivityBound(dim_cap, False)
     if not X.vertices:
         return ConnectivityBound(-2, True)
-    for g in islice(_homology_groups(X, method), dim_cap + 1):
+    chains = _OutsideStar(X, _apex(X))
+    for g in islice(_homology_groups(X, method, chains), dim_cap + 1):
         if not g.is_zero:
             return ConnectivityBound(g.dim - 1, True)
     return ConnectivityBound(dim_cap, False)

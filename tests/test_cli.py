@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,3 +263,22 @@ class TestVerify:
         _, at_cap, err = run_cli(capsys, "verify", "chordal-connected", "--count", "24")
         assert capped == at_cap
         assert "note:" not in err
+
+
+# SHA-256 of the stdout of `ncomplex verify <id> --seed 1 --count 100` for
+# the verifiers that scan connectivity, recorded while the scan still
+# reduced every face of the complex
+SCAN_VERIFIER_STDOUT = {
+    "lovasz-bound": "d5ad66b77cb397b527a59d2b2d570f8a2dee05081acb441823d6a981b2b565a0",
+    "chordal-main": "74decc862fa5d117ee1bb44b3faf7cbcffc2430dc2ac30b7f6e5939c34099031",
+    "chordal-connected": "4c954dc4e49ab94273bc168c416d8bf866c82eed6af6ac32c87a2aeb55508023",
+    "cut-complete": "2f0ec7f435fc2f43131871b353ba5a0d216fdeaf3280aff950efdaabdb259d1d",
+    "cut-bounds": "38c2e587e6ab6ff78cbaf673e02038931cf31aa47a1c31ec6c9dd05d3d20fa03",
+}
+
+
+@pytest.mark.parametrize("which", sorted(SCAN_VERIFIER_STDOUT))
+def test_scan_verifier_stdout_is_pinned(capsys, which):
+    code, out, _ = run_cli(capsys, "verify", which, "--seed", "1", "--count", "100")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_VERIFIER_STDOUT[which]

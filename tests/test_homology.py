@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ncomplex.homology import (
     reduced_homology,
 )
 from ncomplex.snf import smith_normal_form
+from ncomplex.verify import random_chordal_corpus
 
 from conftest import (
     complexes,
@@ -44,6 +46,20 @@ def uncleared_groups(X, max_dim):
     return [(X.face_count(k) - forms[k].rank - forms[k + 1].rank,
              tuple(d for d in forms[k + 1].factors if d > 1))
             for k in range(max_dim + 1)]
+
+
+def excised_groups(X, apex, chains=homology._OutsideStar):
+    """(betti, torsion) in degrees 0..dim+1 from the chain complex of X
+    relative to the closed star of `apex`."""
+    groups = homology._homology_groups(X, "smith", chains(X, apex))
+    return [(g.betti, g.torsion) for g in islice(groups, X.dim + 2)]
+
+
+class OpenStarOnly(homology._OutsideStar):
+    """Mutant: excises only the open star, keeping the link faces."""
+
+    def faces(self, k):
+        return sorted(set(self._far.faces(k)) | set(self._link.faces(k)))
 
 
 @pytest.fixture
@@ -164,6 +180,18 @@ class TestReducedHomology:
             alternating_betti = sum((-1) ** g.dim * g.betti for g in rep.groups)
             assert alternating_faces == 1 + alternating_betti
 
+    def test_euler_check_trips_on_a_dropped_entry(self, monkeypatch):
+        # a point: without its one augmentation entry H~_0 reads Z
+        def dropped(X, k):
+            B = boundary_matrix(X, k)
+            entries = dict(B.entries)
+            if entries:
+                del entries[min(entries)]
+            return homology.BoundaryMatrix(B.dim, B.rows, B.cols, entries)
+        monkeypatch.setattr(homology, "boundary_matrix", dropped)
+        with pytest.raises(ArithmeticError, match="Euler"):
+            reduced_homology(SimplicialComplex([(0,)]), 0)
+
     def test_suspension_shift_with_torsion(self):
         before = groups_of(PROJECTIVE_PLANE, 2)
         after = groups_of(suspension(PROJECTIVE_PLANE), 3)
@@ -209,7 +237,8 @@ class TestConnectivity:
         assert connectivity_of_complex(SimplicialComplex([()]), 1) == ConnectivityBound(-2, True)
 
     def test_incremental_matches_full(self):
-        for g in seeded_graphs(20, 8, seed=19, density=0.5):
+        chordal = [g for _, g, _ in random_chordal_corpus(30, 1)]
+        for g in seeded_graphs(20, 8, seed=19, density=0.5) + chordal:
             X = neighborhood_complex(g)
             rep = reduced_homology(X, 3)
             assert connectivity_of_complex(X, 3) == homological_connectivity(rep)
@@ -217,6 +246,57 @@ class TestConnectivity:
     def test_torsion_detected_by_scan(self):
         bound = connectivity_of_complex(PROJECTIVE_PLANE, 2)
         assert bound == ConnectivityBound(0, True)
+
+    @pytest.mark.parametrize("suspensions", [0, 1, 2])
+    def test_projective_plane_torsion_through_the_scan(self, suspensions):
+        X = PROJECTIVE_PLANE
+        for _ in range(suspensions):
+            X = suspension(X)
+        assert connectivity_of_complex(X, 4) == ConnectivityBound(suspensions, True)
+        assert connectivity_of_complex(X, 4, method="rank") == ConnectivityBound(4, False)
+        full = groups_of(X, X.dim + 1)
+        for w in sorted(X.vertices):
+            assert excised_groups(X, w) == full
+
+    def test_dim_cap_below_minus_one_is_refused(self):
+        X = SimplicialComplex([(0, 1)])
+        with pytest.raises(ValueError, match="dim_cap"):
+            connectivity_of_complex(X, -2)
+        assert connectivity_of_complex(X, -1) == ConnectivityBound(-1, False)
+
+
+class TestExcision:
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_every_apex_gives_the_full_groups(self, X):
+        full = groups_of(X, X.dim + 1)
+        for w in sorted(X.vertices):
+            assert excised_groups(X, w) == full
+
+    def test_excising_only_the_open_star_fails(self):
+        # X - w keeps lk w, so it is not the pair (X, st w): the hollow
+        # triangle less a vertex is an edge, and RP^2 less one is a Moebius band
+        for X in (HOLLOW_TRIANGLE, PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE)):
+            full = groups_of(X, X.dim + 1)
+            assert excised_groups(X, min(X.vertices)) == full
+            assert excised_groups(X, min(X.vertices), OpenStarOnly) != full
+
+    def test_apex_weighs_facets_by_their_faces(self):
+        # vertex 0 lies in two edges (4 + 4), vertex 1 in a triangle and an
+        # edge (8 + 4): counting facets would tie them and take vertex 0
+        X = SimplicialComplex([(0, 4), (0, 5), (1, 2, 3), (1, 6)])
+        assert homology._apex(X) == 1
+        # ties go to the lowest vertex
+        assert homology._apex(HOLLOW_TRIANGLE) == 0
+
+    def test_relative_faces_miss_the_closed_star(self):
+        chains = homology._OutsideStar(PROJECTIVE_PLANE, 1)
+        star = [f for f in PROJECTIVE_PLANE.facets if 1 in f]
+        for k in range(-1, 3):
+            faces = chains.faces(k)
+            assert faces == sorted(faces)
+            assert faces == [f for f in PROJECTIVE_PLANE.faces(k)
+                             if not any(set(f) | {1} <= g for g in star)]
 
 
 class TestFaceCapOfTheScan:
