@@ -34,11 +34,11 @@ and 24):
 * A face lies outside st w exactly when it misses w and is not in the
   link lk w = {F - w : w in F}. So C(X)/C(st w) = C(X - w)/C(lk w), with
   X - w the subcomplex of faces missing w. A face of X - w in no facet
-  that misses w lies in lk w, so the basis is the faces of the facets
-  that miss w, less those of lk w. The empty face lies in st w, so
-  degree -1 is empty.
+  that misses w lies in lk w, and one in lk w is held by a facet through
+  w, so the basis is the faces of the facets that miss w, less those some
+  facet through w holds. The empty face lies in st w: degree -1 is empty.
 * The quotient boundary drops the subfaces that lie in st w; of a face
-  missing w these are the ones in lk w.
+  missing w these are the ones some facet through w holds.
 * This is a chain complex with its faces in lexicographic order per
   degree, so the clearing argument above holds on it unchanged.
 """
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from itertools import combinations, count, islice
 from math import comb
 
-from .complexes import SimplicialComplex
 from .errors import CapExceededError
 from .snf import rank_over_rationals, smith_normal_form
 
@@ -86,7 +85,6 @@ class HomologyGroup:
 class HomologyReport:
     groups: tuple            # HomologyGroup, dims 0..max_dim
     max_dim: int
-    face_counts: tuple       # faces per dimension 0..max_dim
     source: str = ""
 
     def group(self, k):
@@ -109,8 +107,8 @@ def boundary_matrix(X, k):
 
     For k = 0 the rows hold the single empty face, making the complex
     augmented. X may also be the faces outside a closed star
-    (`_OutsideStar`): a subface missing from its rows lies in the star and
-    is zero in the quotient, so it is skipped.
+    (`_OutsideStar`): a subface missing from its rows is held by a facet
+    through the apex, so it is zero in the quotient and is skipped.
     """
     if k < 0:
         raise ValueError("boundary dimension must be non-negative")
@@ -130,17 +128,20 @@ def boundary_matrix(X, k):
 
 class _OutsideStar:
     """The faces of X outside the closed star of `apex`, lexicographic per
-    degree: the basis of C(X, st apex) (see the module docstring)."""
+    degree: the basis of C(X, st apex). The k-faces are the (k + 1)-subsets
+    of the facets that miss the apex that no facet through it holds (see
+    the module docstring)."""
 
     def __init__(self, X, apex):
-        self._far = SimplicialComplex([f for f in X.facets if apex not in f])
-        self._link = SimplicialComplex([f - {apex} for f in X.facets if apex in f])
+        self._far = [sorted(f) for f in X.facets if apex not in f]
+        self._star = [f for f in X.facets if apex in f]
         self._faces = {}
 
     def faces(self, k):
         if k not in self._faces:
-            link = set(self._link.faces(k))
-            self._faces[k] = [f for f in self._far.faces(k) if f not in link]
+            subsets = {s for f in self._far for s in combinations(f, k + 1)}
+            self._faces[k] = sorted(s for s in subsets
+                                    if not any(g.issuperset(s) for g in self._star))
         return self._faces[k]
 
 
@@ -189,19 +190,19 @@ def _homology_groups(X, method, chains):
     """Yield H~_0, H~_1, ... of X in turn, reducing each boundary once.
 
     The boundaries are those of `chains`: X itself, or the faces of X
-    outside a closed star, whose groups are the same. H~_k needs d_k and
-    d_{k+1}; each boundary is built only when the next group asks for it,
-    after its degree of X passes the face cap, and the unit pivots of d_k
-    clear the rows of d_{k+1}.
+    outside a closed star, whose groups are the same. H~_{k-1} needs d_{k-1}
+    and d_k; each boundary is built only when the next group asks for it,
+    after its degree of X passes the face cap, and the unit pivots of
+    d_{k-1} clear the rows of d_k.
     """
-    _check_face_cap(X, 0)
-    rank_k, _, cleared = _reduce(boundary_matrix(chains, 0).entries, method, frozenset())
+    rank_k, cleared = 0, frozenset()
     for k in count():
-        _check_face_cap(X, k + 1)
-        B = boundary_matrix(chains, k + 1)
+        _check_face_cap(X, k)
+        B = boundary_matrix(chains, k)
         rank_next, torsion, cleared = _reduce(B.entries, method, cleared)
-        # torsion of H~_k comes from the boundary out of degree k + 1
-        yield HomologyGroup(k, len(B.rows) - rank_k - rank_next, torsion)
+        if k:
+            # torsion of H~_{k-1} comes from the boundary out of degree k
+            yield HomologyGroup(k - 1, len(B.rows) - rank_k - rank_next, torsion)
         rank_k = rank_next
 
 
@@ -218,21 +219,15 @@ def reduced_homology(X, max_dim, method="smith", source=""):
         raise ValueError("max_dim must be non-negative")
     for k in range(max_dim + 2):
         _check_face_cap(X, k)
-    counts = tuple(X.face_count(k) for k in range(max_dim + 2))
     groups = tuple(islice(_homology_groups(X, method, X), max_dim + 1))
     if not X.is_void and max_dim >= X.dim:
-        euler = -1 + sum((-1) ** k * f for k, f in enumerate(counts))
+        euler = -1 + sum((-1) ** k * X.face_count(k) for k in range(max_dim + 2))
         # the empty complex has its one group, H~_{-1} = Z, below degree 0
         betti = sum((-1) ** g.dim * g.betti for g in groups) - (not X.vertices)
         if euler != betti:
             raise ArithmeticError(
                 f"reduced Euler characteristic {euler} != alternating Betti sum {betti}")
-    return HomologyReport(
-        groups=groups,
-        max_dim=max_dim,
-        face_counts=counts[: max_dim + 1],
-        source=source,
-    )
+    return HomologyReport(groups=groups, max_dim=max_dim, source=source)
 
 
 @dataclass(frozen=True)

@@ -609,5 +609,7 @@ def run_verifier(which, seed=1, count=100):
     which = VERIFIER_ALIASES.get(which, which)
     if which not in VERIFIERS:
         raise ValueError(f"unknown verifier {which!r}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, not {count}")
     run, cap = VERIFIERS[which]
     return run(seed=seed, count=count if cap is None else min(count, cap))

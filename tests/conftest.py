@@ -517,12 +517,12 @@ def groups_of(X, max_dim, method="smith"):
     return [(g.betti, g.torsion) for g in rep.groups]
 
 
-def homological_connectivity(report):
-    """Connectivity read off a full homology report of a non-void complex:
+def homological_connectivity(X, report):
+    """Connectivity read off a full homology report of a non-void complex X:
     one less than the first degree with nonzero reduced homology, -2 for the
     empty complex (its reduced homology sits in degree -1), and "at least
     max_dim" when every group vanishes."""
-    if report.face_counts[0] == 0:
+    if not X.vertices:
         return ConnectivityBound(-2, True)
     for g in report.groups:
         if not g.is_zero:

@@ -256,6 +256,12 @@ class TestVerify:
                                                      ["Z", "Z"], ["0", "0"]]
         assert summary == "queen-table: pass (checked 2, skipped 0)"
 
+    def test_negative_count_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "chordal-main", "--count", "-4")
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: count must be non-negative, not -4"]
+
     def test_count_above_cap_is_noted_on_stderr(self, capsys):
         code, capped, err = run_cli(capsys, "verify", "chordal-connected", "--count", "30")
         assert code == 0
