@@ -60,22 +60,7 @@ def _homology_table(report):
 
 
 def _cmd_gen(args):
-    if args.kind == "complete":
-        g = complete_graph(args.p)
-    elif args.kind == "cycle":
-        g = cycle_graph(args.k)
-    elif args.kind == "path":
-        g = path_graph(args.k)
-    elif args.kind == "queen":
-        g = queen_graph(args.m, args.n)
-    elif args.kind == "king":
-        g = king_graph(args.m, args.n)
-    elif args.kind == "mycielskian":
-        g = mycielskian(_load_graph(args.input))
-    else:
-        g, _ = random_chordal_graph(
-            args.cliques, (args.size_min, args.size_max), args.overlap_min, args.seed)
-    _emit(g.to_json(), args.output)
+    _emit(args.generate(args).to_json(), args.output)
     return 0
 
 
@@ -164,24 +149,29 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph as canonical JSON")
+    gen.set_defaults(handler=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    p = gen_sub.add_parser("complete")
-    p.add_argument("p", type=int)
-    for name in ("cycle", "path"):
+    for name, params, generate in (
+            ("complete", ("p",), lambda a: complete_graph(a.p)),
+            ("cycle", ("k",), lambda a: cycle_graph(a.k)),
+            ("path", ("k",), lambda a: path_graph(a.k)),
+            ("queen", ("m", "n"), lambda a: queen_graph(a.m, a.n)),
+            ("king", ("m", "n"), lambda a: king_graph(a.m, a.n))):
         p = gen_sub.add_parser(name)
-        p.add_argument("k", type=int)
-    for name in ("queen", "king"):
-        p = gen_sub.add_parser(name)
-        p.add_argument("m", type=int)
-        p.add_argument("n", type=int)
+        for param in params:
+            p.add_argument(param, type=int)
+        p.set_defaults(generate=generate)
     p = gen_sub.add_parser("mycielskian")
     p.add_argument("input")
+    p.set_defaults(generate=lambda a: mycielskian(_load_graph(a.input)))
     p = gen_sub.add_parser("random-chordal")
     p.add_argument("--cliques", type=int, default=4)
     p.add_argument("--size-min", type=int, default=3)
     p.add_argument("--size-max", type=int, default=6)
     p.add_argument("--overlap-min", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
+    p.set_defaults(generate=lambda a: random_chordal_graph(
+        a.cliques, (a.size_min, a.size_max), a.overlap_min, a.seed)[0])
     for p in gen_sub.choices.values():
         p.add_argument("--output", default=None)
 
@@ -192,10 +182,12 @@ def build_parser():
     hom.add_argument("--max-dim", type=int, default=4)
     hom.add_argument("--format", choices=("json", "table"), default="json")
     hom.add_argument("--output", default=None)
+    hom.set_defaults(handler=_cmd_homology)
 
     ana = sub.add_parser("analyze", help="summary of graph invariants")
     ana.add_argument("input")
     ana.add_argument("--output", default=None)
+    ana.set_defaults(handler=_cmd_analyze)
 
     ver = sub.add_parser("verify", help="run a verifier (or all of them)")
     ver.add_argument("which", choices=sorted(set(VERIFIER_IDS) | set(VERIFIER_ALIASES) | {"all"}))
@@ -203,6 +195,7 @@ def build_parser():
     ver.add_argument("--count", type=int, default=100)
     ver.add_argument("--format", choices=("json", "table"), default="json")
     ver.add_argument("--output", default=None)
+    ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -213,14 +206,8 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "homology": _cmd_homology,
-        "analyze": _cmd_analyze,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, ValueError, json.JSONDecodeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,8 +11,8 @@ search, since some maximum flow uses all of them; augmentation then breaks
 ties toward lower vertex indices and stops once the flow reaches the best
 value so far. Only a strictly smaller flow, which is then a maximum flow,
 gives a new witness: its cut, the vertices whose in-node but not out-node
-the residual network reaches from s, is the same for every maximum flow, so
-the witness does not depend on the paths chosen.
+the search that ends the flow reaches from s, is the same for every maximum
+flow, so the witness does not depend on the paths chosen.
 """
 from __future__ import annotations
 
@@ -51,32 +51,14 @@ def _split_network(G):
     return cap, adjacency
 
 
-def _augment(cap, adjacency, src, snk):
-    """One BFS augmenting path; returns True if flow increased."""
-    parent = {src: None}
-    queue = [src]
-    for x in queue:
-        if x == snk:
-            break
-        for y in adjacency[x]:
-            if y not in parent and cap[(x, y)] > 0:
-                parent[y] = x
-                queue.append(y)
-    if snk not in parent:
-        return False
-    y = snk
-    while parent[y] is not None:
-        x = parent[y]
-        cap[(x, y)] -= 1
-        cap[(y, x)] += 1
-        y = x
-    return True
-
-
 def _max_flow(G, network, s, t, limit):
-    """(value, residual capacities) of a flow from s to t, which must not be
-    adjacent, stopped at `limit`; when the common neighbours alone reach
-    `limit` no capacities are copied and None stands in for them."""
+    """(value, cut) of a flow from s to t, which must not be adjacent,
+    stopped at `limit`. Each augmenting path comes from a BFS out of out(s)
+    with ties toward lower nodes. A search that misses in(t) has reached
+    exactly the source side of a minimum cut, so the flow ends there and
+    `cut` holds the vertices whose in-node but not out-node it reached. A
+    flow stopped at `limit` has cut None; when the common neighbours alone
+    reach `limit`, no capacities are copied."""
     common = G.adjacency[s] & G.adjacency[t]
     if len(common) >= limit:
         return limit, None
@@ -87,22 +69,27 @@ def _max_flow(G, network, s, t, limit):
             cap[arc] -= 1
             cap[arc[::-1]] += 1
     value = len(common)
-    while value < limit and _augment(cap, network[1], src, snk):
+    while value < limit:
+        parent = {src: None}
+        queue = [src]
+        for x in queue:
+            if x == snk:
+                break
+            for y in network[1][x]:
+                if y not in parent and cap[(x, y)] > 0:
+                    parent[y] = x
+                    queue.append(y)
+        if snk not in parent:
+            cut = frozenset(x // 2 for x in parent if x % 2 == 0 and x + 1 not in parent)
+            return value, cut
+        y = snk
+        while parent[y] is not None:
+            x = parent[y]
+            cap[(x, y)] -= 1
+            cap[(y, x)] += 1
+            y = x
         value += 1
-    return value, cap
-
-
-def _residual_cut(cap, adjacency, s):
-    """Vertices whose in-node but not out-node is reachable from out(s)."""
-    reach = {2 * s + 1}
-    stack = [2 * s + 1]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in reach and cap[(x, y)] > 0:
-                reach.add(y)
-                stack.append(y)
-    return frozenset(x // 2 for x in reach if x % 2 == 0 and x + 1 not in reach)
+    return value, None
 
 
 def vertex_connectivity(G):
@@ -127,10 +114,9 @@ def vertex_connectivity(G):
         for t in range(G.n):
             if t == u or t in adj[u]:
                 continue
-            value, cap = _max_flow(G, network, u, t, best)
+            value, cut = _max_flow(G, network, u, t, best)
             if value < best:
-                best = value
-                witness = _residual_cut(cap, network[1], u)
+                best, witness = value, cut
     return CutReport(best, witness)
 
 
@@ -142,10 +128,6 @@ def cut_components(G, cut):
     if len(cut) >= G.n:
         raise ValueError("cut must be a proper subset of the vertices")
     rest = [v for v in range(G.n) if v not in cut]
-    sub = induced_subgraph(G, rest)
-    back = {i: rest[i] for i in range(len(rest))}
-    comps = []
-    for comp in connected_components(sub):
-        comps.append(frozenset(back[i] for i in comp) | cut)
-    comps.sort(key=lambda c: min(c - cut) if c - cut else -1)
-    return CutComponents(cut, tuple(comps))
+    # rest ascends, so the components come by smallest member, as in G - cut
+    comps = connected_components(induced_subgraph(G, rest))
+    return CutComponents(cut, tuple(frozenset(rest[i] for i in c) | cut for c in comps))

@@ -29,6 +29,19 @@ def json_int(value):
     return value
 
 
+def _json_labels(labels, n):
+    """{vertex: label} from a JSON object whose keys are the canonical
+    decimals of vertices 0..n-1 and whose values are strings; anything else
+    is refused."""
+    out = {}
+    for key, value in labels.items():
+        v = int(key)
+        if key != str(v) or not 0 <= v < n or type(value) is not str:
+            raise ValueError(f"{key!r}: {value!r} is not a label of a vertex")
+        out[v] = value
+    return out
+
+
 class Graph:
     """Immutable simple graph. Equality and hashing use (n, edges) only."""
 
@@ -106,8 +119,7 @@ class Graph:
                            lambda es: [(json_int(u), json_int(v)) for u, v in es])
         labels = None
         if "labels" in obj and obj["labels"]:
-            labels = json_field(obj, "labels",
-                                lambda ls: {int(k): str(v) for k, v in ls.items()})
+            labels = json_field(obj, "labels", lambda ls: _json_labels(ls, n))
         return cls(n, edges, labels)
 
     @classmethod

@@ -289,23 +289,21 @@ def verify_counterexample():
 
 def verify_board_simple_connectivity():
     """Extension-chain certificates at level 1 for queen and king boards,
-    cross-checked by vanishing first homology."""
+    cross-checked by homology vanishing through degree one."""
     report = VerificationReport("queen-king")
     for kind, gen in (("queen", queen_graph), ("king", king_graph)):
         for m in range(2, 5):
             for n in range(2, 5):
                 G = gen(m, n)
                 cert = certify_connectivity(G, board_removal_order(m, n), 1)
-                hom = reduced_homology(neighborhood_complex(G), 1)
-                ok = cert and hom.group(0).is_zero and hom.group(1).is_zero
+                bound = connectivity_of_complex(neighborhood_complex(G), 1)
                 report.instances_checked += 1
-                if not ok:
+                if not (cert and bound.value >= 1):
                     report.add_failure(
                         G,
-                        {"board": [kind, m, n], "certificate": True,
-                         "groups": [[0, []], [0, []]]},
+                        {"board": [kind, m, n], "certificate": True, "vanishing_through": 1},
                         {"board": [kind, m, n], "certificate": cert,
-                         "groups": group_data(hom)})
+                         "connectivity": bound.describe()})
     return report
 
 
@@ -318,20 +316,13 @@ def verify_mycielskian_shift(count=20, seed=1):
     corpus.extend(g for _, g in random_graphs(count, 8, seed, connected=True))
     for G in corpus:
         M = mycielskian(G)
-        base = reduced_homology(neighborhood_complex(G), 3)
-        lifted = reduced_homology(neighborhood_complex(M), 4)
-        shift_ok = all(
-            (base.group(k).betti, base.group(k).torsion)
-            == (lifted.group(k + 1).betti, lifted.group(k + 1).torsion)
-            for k in range(4))
+        base = group_data(reduced_homology(neighborhood_complex(G), 3))
+        shifted = group_data(reduced_homology(neighborhood_complex(M), 4))[1:]
         kappa_ok = vertex_connectivity(M).kappa > vertex_connectivity(G).kappa
         report.instances_checked += 1
-        if not (shift_ok and kappa_ok):
-            report.add_failure(
-                G,
-                {"shifted": group_data(base), "kappa_grows": True},
-                {"shifted": [[g.betti, list(g.torsion)] for g in lifted.groups[1:]],
-                 "kappa_grows": kappa_ok})
+        if not (base == shifted and kappa_ok):
+            report.add_failure(G, {"shifted": base, "kappa_grows": True},
+                               {"shifted": shifted, "kappa_grows": kappa_ok})
     return report
 
 
@@ -470,26 +461,19 @@ def verify_clique_cut(instances=None):
         if not (_has_apex(G1, shared) and _has_apex(G2, shared)):
             report.skip(label, "precondition failed: missing apex adjacent to the glue")
             continue
-        sides_ok = True
-        for side in (G1, G2):
-            hom = reduced_homology(neighborhood_complex(side), max(n - 1, 0))
-            if any(not hom.group(i).is_zero for i in range(n)):
-                sides_ok = False
-        if not sides_ok:
+        side_cap = max(n - 1, 0)
+        if any(connectivity_of_complex(neighborhood_complex(side), side_cap).value < n - 1
+               for side in (G1, G2)):
             report.skip(label, "precondition failed: side complex not (n-1)-connected")
             continue
         G = overlay_graphs(G1, G2, shared)
-        hom = reduced_homology(neighborhood_complex(G), n)
-        low_zero = all(hom.group(i).is_zero for i in range(n))
-        top_nonzero = not hom.group(n).is_zero
+        bound = connectivity_of_complex(neighborhood_complex(G), n)
         report.instances_checked += 1
         if not is_chordal(G).chordal:
             report.regime = SURROGATE
-        if not (low_zero and top_nonzero):
-            report.add_failure(
-                G,
-                {"vanishing_below": n, "nonzero_at": n},
-                {"groups": group_data(hom)})
+        if not (bound.exact and bound.value == n - 1):
+            report.add_failure(G, {"vanishing_below": n, "nonzero_at": n},
+                               {"connectivity": bound.describe()})
     return report
 
 

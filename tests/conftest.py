@@ -10,7 +10,9 @@ subset. The chordal certificate order has a reference that tries each
 simplicial removal on a rebuilt subgraph against the clique number and a
 vertex-connectivity floor.
 Vertex connectivity also has a reference flow routine that builds a fresh
-network for every pair and runs every flow to completion. The Smith
+network for every pair and runs every flow to completion, and a reference
+in the library's earlier two-pass form, whose flows end without reading a
+cut and leave it to a second search of the residual network. The Smith
 route's unit-pivot phase and its boundary matrices have references in
 their first, plainer form, which fix the pivot order and the signs the
 faster library code must reproduce. Tests pit the
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 from ncomplex.chordal import clique_number, simplicial_vertices
 from ncomplex.complexes import SimplicialComplex
-from ncomplex.connectivity import CutReport, vertex_connectivity
+from ncomplex.connectivity import CutReport, _split_network, vertex_connectivity
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 from ncomplex.homology import ConnectivityBound, reduced_homology
 from ncomplex.snf import SmithForm, _classical_invariant_factors
@@ -182,7 +184,7 @@ def reference_flow(G, s, t):
         value += 1
 
 
-def reference_vertex_connectivity(G):
+def per_pair_vertex_connectivity(G):
     """CutReport from one reference_flow per pair (u, t), u in the closed
     neighbourhood of the first minimum-degree vertex and t not adjacent to
     u, both ascending; the first least flow gives the witness, read off its
@@ -211,6 +213,75 @@ def reference_vertex_connectivity(G):
                             stack.append(y)
                 witness = frozenset(v for v in range(G.n) if v not in (u, t)
                                     and 2 * v in reach and 2 * v + 1 not in reach)
+    return CutReport(best, witness)
+
+
+def _augment(cap, adjacency, src, snk):
+    """One BFS augmenting path; returns True if flow increased."""
+    parent = {src: None}
+    queue = [src]
+    for x in queue:
+        if x == snk:
+            break
+        for y in adjacency[x]:
+            if y not in parent and cap[(x, y)] > 0:
+                parent[y] = x
+                queue.append(y)
+    if snk not in parent:
+        return False
+    y = snk
+    while parent[y] is not None:
+        x = parent[y]
+        cap[(x, y)] -= 1
+        cap[(y, x)] += 1
+        y = x
+    return True
+
+
+def _residual_cut(cap, adjacency, s):
+    """Vertices whose in-node but not out-node is reachable from out(s)."""
+    reach = {2 * s + 1}
+    stack = [2 * s + 1]
+    while stack:
+        x = stack.pop()
+        for y in adjacency[x]:
+            if y not in reach and cap[(x, y)] > 0:
+                reach.add(y)
+                stack.append(y)
+    return frozenset(x // 2 for x in reach if x % 2 == 0 and x + 1 not in reach)
+
+
+def reference_vertex_connectivity(G):
+    """The library's flow scheme in two passes: on the shared split network,
+    each flow routes the common neighbours, augments by BFS up to the best
+    value so far and returns its residual capacities; a strictly smaller
+    flow then gets its witness from a second, depth-first search of them."""
+    if G.is_complete():
+        return CutReport(G.n - 1, None)
+    if not is_connected(G):
+        return CutReport(0, frozenset())
+    adj = G.adjacency
+    v0 = min(range(G.n), key=lambda v: (len(adj[v]), v))
+    base, adjacency = _split_network(G)
+    best, witness = G.n, None
+    for u in sorted(adj[v0] | {v0}):
+        for t in range(G.n):
+            if t == u or t in adj[u]:
+                continue
+            common = adj[u] & adj[t]
+            if len(common) >= best:
+                continue
+            cap = dict(base)
+            src, snk = 2 * u + 1, 2 * t
+            for w in common:
+                for arc in ((src, 2 * w), (2 * w, 2 * w + 1), (2 * w + 1, snk)):
+                    cap[arc] -= 1
+                    cap[arc[::-1]] += 1
+            value = len(common)
+            while value < best and _augment(cap, adjacency, src, snk):
+                value += 1
+            if value < best:
+                best, witness = value, _residual_cut(cap, adjacency, u)
     return CutReport(best, witness)
 
 

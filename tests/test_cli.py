@@ -10,13 +10,36 @@ import pytest
 import ncomplex
 from ncomplex.cli import main
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.graph import complete_graph, queen_graph
+from ncomplex.graph import (
+    complete_graph,
+    cycle_graph,
+    king_graph,
+    mycielskian,
+    path_graph,
+    queen_graph,
+    random_chordal_graph,
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# arguments of `ncomplex gen <kind>`, where "{c5}" names a file holding C5,
+# and the library call that makes the same graph
+GEN_KINDS = {
+    "complete": (["5"], lambda: complete_graph(5)),
+    "cycle": (["7"], lambda: cycle_graph(7)),
+    "path": (["6"], lambda: path_graph(6)),
+    "queen": (["3", "4"], lambda: queen_graph(3, 4)),
+    "king": (["4", "3"], lambda: king_graph(4, 3)),
+    "mycielskian": (["{c5}"], lambda: mycielskian(cycle_graph(5))),
+    "random-chordal": (["--cliques", "5", "--size-min", "3", "--size-max", "5",
+                        "--overlap-min", "2", "--seed", "9"],
+                       lambda: random_chordal_graph(5, (3, 5), 2, 9)[0]),
+}
 
 
 class TestGen:
@@ -47,6 +70,14 @@ class TestGen:
     def test_bad_generator_args(self, capsys):
         code, _, err = run_cli(capsys, "gen", "cycle", "2")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("kind", list(GEN_KINDS))
+    def test_prints_the_generator_json(self, capsys, tmp_path, kind):
+        args, make = GEN_KINDS[kind]
+        c5 = tmp_path / "c5.json"
+        c5.write_text(cycle_graph(5).to_json())
+        code, out, _ = run_cli(capsys, "gen", kind, *(str(c5) if a == "{c5}" else a for a in args))
+        assert code == 0 and out == make().to_json() + "\n"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.json"
@@ -144,6 +175,15 @@ class TestHomology:
         (["analyze"], '{"n": true, "edges": []}', "n"),
         (["homology", "--complex"], '{"facets": [[0, 1.5], [2.9, 0]]}', "facets"),
         (["homology", "--complex"], '{"facets": [[0, false], [1, 2]]}', "facets"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"7": "x", "01": "a", '
+                      '"1": "b", "-3": 4}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"2": "x"}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"-1": "x"}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"01": "a"}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {" 1": "a"}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": 4}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": null}}', "labels"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}', "labels"),
     ])
     def test_malformed_json_exit_code(self, capsys, tmp_path, argv, text, field):
         path = tmp_path / "bad.json"
@@ -273,13 +313,15 @@ class TestVerify:
 
 # SHA-256 of the stdout of `ncomplex verify <id> --seed 1 --count 100` for
 # the verifiers that scan connectivity, recorded while the scan still
-# reduced every face of the complex
+# reduced every face of the complex; queen-king's while it still read
+# connectivity off full homology reports
 SCAN_VERIFIER_STDOUT = {
     "lovasz-bound": "d5ad66b77cb397b527a59d2b2d570f8a2dee05081acb441823d6a981b2b565a0",
     "chordal-main": "74decc862fa5d117ee1bb44b3faf7cbcffc2430dc2ac30b7f6e5939c34099031",
     "chordal-connected": "4c954dc4e49ab94273bc168c416d8bf866c82eed6af6ac32c87a2aeb55508023",
     "cut-complete": "2f0ec7f435fc2f43131871b353ba5a0d216fdeaf3280aff950efdaabdb259d1d",
     "cut-bounds": "38c2e587e6ab6ff78cbaf673e02038931cf31aa47a1c31ec6c9dd05d3d20fa03",
+    "queen-king": "19fb0ad4a7cdec164bd127f13ae07a0ba65f96d5195a57ba959644cadd4fef6e",
 }
 
 

@@ -29,6 +29,7 @@ from conftest import (
     brute_force_min_cuts,
     brute_force_min_separator,
     graphs,
+    per_pair_vertex_connectivity,
     reference_flow,
     reference_vertex_connectivity,
     seeded_graphs,
@@ -98,7 +99,21 @@ class TestVertexConnectivity:
     def test_matches_reference_flow_routine(self, g):
         # one shared network, pre-routed common neighbours and capped flows
         # give the per-pair routine's kappa and witness exactly
+        assert vertex_connectivity(g) == per_pair_vertex_connectivity(g)
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=100)
+    def test_matches_two_pass_flow(self, g):
+        # the search that ends each flow reads the same cut that a second
+        # search of the residual network reads
         assert vertex_connectivity(g) == reference_vertex_connectivity(g)
+
+    def test_boards_match_two_pass_flow(self):
+        for gen in (queen_graph, king_graph):
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    g = gen(m, n)
+                    assert vertex_connectivity(g) == reference_vertex_connectivity(g)
 
     def test_pinned_witness_cuts(self):
         fixtures = [
@@ -127,7 +142,7 @@ class TestDisjointPaths:
         g = Graph(7, [(h, leaf) for h in (0, 1) for leaf in range(2, 7)])
         assert flow_value(g, 0, 1) == 5
         assert _max_flow(g, _split_network(g), 0, 1, 3) == (3, None)
-        assert vertex_connectivity(g) == reference_vertex_connectivity(g)
+        assert vertex_connectivity(g) == per_pair_vertex_connectivity(g)
 
     def test_cycle_opposite(self):
         assert flow_value(cycle_graph(4), 0, 2) == 2

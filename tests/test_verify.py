@@ -8,7 +8,7 @@ from ncomplex.chordal import simplicial_vertices
 from ncomplex.connectivity import vertex_connectivity
 from ncomplex.graph import Graph, complete_graph, induced_subgraph, random_chordal_graph
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.homology import reduced_homology
+from ncomplex.homology import ConnectivityBound, reduced_homology
 from ncomplex.verify import (
     QUEEN_HOMOLOGY_TABLE,
     VerificationReport,
@@ -159,6 +159,18 @@ class TestVerifiers:
         report = verify_board_simple_connectivity()
         assert report.passed and report.instances_checked == 18
 
+    def test_board_failure_record_reports_connectivity(self, monkeypatch):
+        import ncomplex.verify
+        monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
+                            lambda X, dim_cap: ConnectivityBound(0, True))
+        report = verify_board_simple_connectivity()
+        assert len(report.failures) == report.instances_checked == 18
+        record = report.failures[0]
+        assert record["expected"] == {"board": ["queen", 2, 2], "certificate": True,
+                                      "vanishing_through": 1}
+        assert record["observed"] == {"board": ["queen", 2, 2], "certificate": True,
+                                      "connectivity": "0"}
+
     def test_mycielskian(self):
         report = verify_mycielskian_shift(count=5, seed=3)
         assert report.passed and report.instances_checked == 10
@@ -182,6 +194,24 @@ class TestVerifiers:
         assert report.passed
         assert report.instances_checked == 3
         assert any("apex" in s["reason"] for s in report.skipped)
+
+    def test_clique_cut_failure_record_reports_connectivity(self, monkeypatch):
+        import ncomplex.verify
+        # "at least dim_cap" passes every side check and no gluing
+        monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
+                            lambda X, dim_cap: ConnectivityBound(dim_cap, False))
+        report = verify_clique_cut()
+        assert report.instances_checked == 3
+        assert [(f["expected"], f["observed"]) for f in report.failures] == [
+            ({"vanishing_below": n, "nonzero_at": n}, {"connectivity": f"at least {n}"})
+            for n in (1, 2, 3)]
+
+    def test_clique_cut_skips_an_empty_glue_on_an_edgeless_side(self):
+        # N of an edgeless graph is {empty face}, which is not (-1)-connected
+        report = verify_clique_cut([(Graph(2, []), complete_graph(3), frozenset(), 0)])
+        assert report.passed and report.instances_checked == 0
+        assert [s["reason"] for s in report.skipped] == [
+            "precondition failed: side complex not (n-1)-connected"]
 
     def test_clique_cut_precondition_reporting(self):
         # sides whose complexes are not connected enough must be skipped
