@@ -15,11 +15,13 @@ from .errors import CapExceededError
 
 
 def json_field(obj, name, parse):
-    """parse(obj[name]), or a ValueError naming the field if that fails."""
+    """parse(obj[name]), or a ValueError naming the field and the cause."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"JSON field {name!r} is missing")
     try:
         return parse(obj[name])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"JSON field {name!r} is missing or malformed") from exc
+        raise ValueError(f"JSON field {name!r} is malformed: {exc}") from exc
 
 
 def json_int(value):
@@ -130,15 +132,19 @@ class Graph:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "n" and len(parts) == 2:
+            kind, *tokens = line.split()
+            try:
+                nums = [int(t) for t in tokens]
+            except ValueError:
+                kind = None  # a non-integer token: cannot parse the line
+            if kind == "n" and len(nums) == 1:
                 if n is not None:
                     raise ValueError(f"line {lineno}: duplicate vertex-count line")
-                n = int(parts[1])
-            elif parts[0] == "e" and len(parts) == 3:
+                n = nums[0]
+            elif kind == "e" and len(nums) == 2:
                 if n is None:
                     raise ValueError(f"line {lineno}: edge before vertex-count line")
-                edges.append((int(parts[1]), int(parts[2])))
+                edges.append(tuple(nums))
             else:
                 raise ValueError(f"line {lineno}: cannot parse {raw!r}")
         if n is None:

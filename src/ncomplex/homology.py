@@ -41,6 +41,7 @@ and 24):
   missing w these are the ones some facet through w holds.
 * This is a chain complex with its faces in lexicographic order per
   degree, so the clearing argument above holds on it unchanged.
+* The face cap bounds degree k by C(|F|, k + 1) summed over the facets F missing w.
 """
 from __future__ import annotations
 
@@ -133,13 +134,13 @@ class _OutsideStar:
     the module docstring)."""
 
     def __init__(self, X, apex):
-        self._far = [sorted(f) for f in X.facets if apex not in f]
+        self.facets = [sorted(f) for f in X.facets if apex not in f]
         self._star = [f for f in X.facets if apex in f]
         self._faces = {}
 
     def faces(self, k):
         if k not in self._faces:
-            subsets = {s for f in self._far for s in combinations(f, k + 1)}
+            subsets = {s for f in self.facets for s in combinations(f, k + 1)}
             self._faces[k] = sorted(s for s in subsets
                                     if not any(g.issuperset(s) for g in self._star))
         return self._faces[k]
@@ -162,10 +163,10 @@ def _apex(X):
 FACE_CAP = 250_000
 
 
-def _check_face_cap(X, k):
-    """Refuse a complex whose k-faces could exceed FACE_CAP, bounding them
-    by sum over facets F of C(|F|, k + 1)."""
-    bound = sum(comb(len(f), k + 1) for f in X.facets)
+def _check_face_cap(chains, k):
+    """Refuse a chain complex whose k-faces could exceed FACE_CAP, bounding
+    them by sum over its facets F of C(|F|, k + 1)."""
+    bound = sum(comb(len(f), k + 1) for f in chains.facets)
     if bound > FACE_CAP:
         raise CapExceededError(
             f"degree {k} may have up to {bound} faces, above the cap of {FACE_CAP}")
@@ -186,18 +187,17 @@ def _reduce(entries, method, cleared):
     return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
 
 
-def _homology_groups(X, method, chains):
-    """Yield H~_0, H~_1, ... of X in turn, reducing each boundary once.
+def _homology_groups(chains, method):
+    """Yield H~_0, H~_1, ... of `chains` in turn, reducing each boundary once.
 
-    The boundaries are those of `chains`: X itself, or the faces of X
-    outside a closed star, whose groups are the same. H~_{k-1} needs d_{k-1}
-    and d_k; each boundary is built only when the next group asks for it,
-    after its degree of X passes the face cap, and the unit pivots of
-    d_{k-1} clear the rows of d_k.
+    `chains` is a complex X, or the faces of X outside a closed star, whose
+    groups are the same. H~_{k-1} needs d_{k-1} and d_k; each boundary is
+    built only when the next group asks for it, after its degree of `chains`
+    passes the face cap, and the unit pivots of d_{k-1} clear the rows of d_k.
     """
     rank_k, cleared = 0, frozenset()
     for k in count():
-        _check_face_cap(X, k)
+        _check_face_cap(chains, k)
         B = boundary_matrix(chains, k)
         rank_next, torsion, cleared = _reduce(B.entries, method, cleared)
         if k:
@@ -219,7 +219,7 @@ def reduced_homology(X, max_dim, method="smith", source=""):
         raise ValueError("max_dim must be non-negative")
     for k in range(max_dim + 2):
         _check_face_cap(X, k)
-    groups = tuple(islice(_homology_groups(X, method, X), max_dim + 1))
+    groups = tuple(islice(_homology_groups(X, method), max_dim + 1))
     if not X.is_void and max_dim >= X.dim:
         euler = -1 + sum((-1) ** k * X.face_count(k) for k in range(max_dim + 2))
         # the empty complex has its one group, H~_{-1} = Z, below degree 0
@@ -246,9 +246,9 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
     `_apex(X)`, which has them all and fewer faces (see the module
     docstring). method="smith" also sees pure-torsion groups, so its early
     exit is exact; the rank-only variant exists for cross-checks on
-    torsion-free complexes. Each degree of X is checked against the face
-    cap just before it is built; a degree past the first nonzero group is
-    neither.
+    torsion-free complexes. Each degree of the relative basis is checked
+    against the face cap, over the facets that miss the apex, just before it
+    is built; a degree past the first nonzero group is neither.
     """
     if dim_cap < -1:
         raise ValueError("dim_cap must be at least -1")
@@ -257,7 +257,7 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
     if not X.vertices:
         return ConnectivityBound(-2, True)
     chains = _OutsideStar(X, _apex(X))
-    for g in islice(_homology_groups(X, method, chains), dim_cap + 1):
+    for g in islice(_homology_groups(chains, method), dim_cap + 1):
         if not g.is_zero:
             return ConnectivityBound(g.dim - 1, True)
     return ConnectivityBound(dim_cap, False)

@@ -150,15 +150,9 @@ def group_data(report):
 # ---------------------------------------------------------------------------
 
 def random_chordal_corpus(count, seed):
-    """Seeded chordal graphs: 2..6 glued cliques of size 3..6."""
-    out = []
-    for offset in range(count):
-        s = seed + offset
-        rng = random.Random(s)
-        num = rng.randint(2, 6)
-        g, cliques = random_chordal_graph(num, (3, 6), 1, seed=s)
-        out.append((s, g, cliques))
-    return out
+    """Seeded (seed, chordal graph) pairs: 2..6 glued cliques of size 3..6."""
+    return [(s, random_chordal_graph(random.Random(s).randint(2, 6), (3, 6), 1, seed=s)[0])
+            for s in range(seed, seed + count)]
 
 
 def random_graphs(count, max_n, seed, connected=False, min_n=2):
@@ -344,7 +338,7 @@ def verify_lovasz_bound(count=100, seed=1):
     """Chromatic number at least complex connectivity plus three, on
     instances whose connectivity is certified."""
     report = VerificationReport("lovasz-bound", seed=seed)
-    instances = [("chordal", g) for _, g, _ in random_chordal_corpus(count, seed)]
+    instances = [("chordal", g) for _, g in random_chordal_corpus(count, seed)]
     instances.extend(("queen", mn) for mn in [(2, 2), (2, 3), (3, 3)])
     for kind, item in instances:
         if kind == "chordal":
@@ -380,7 +374,7 @@ def verify_stiff_chordal(count=100, seed=1):
     """Fold-reduced chordal residuals: complex connectivity is exactly one
     less than vertex connectivity."""
     report = VerificationReport("chordal-main", seed=seed)
-    for s, g, _ in random_chordal_corpus(count, seed):
+    for s, g in random_chordal_corpus(count, seed):
         residual = fold_reduction(g).result
         if residual.is_complete():
             report.skip(f"seed {s}", "residual is complete")

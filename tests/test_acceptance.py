@@ -161,7 +161,7 @@ def test_acceptance_oracle_equivalences():
                  for (m, n) in sorted(QUEEN_HOMOLOGY_TABLE)]
     complexes += [neighborhood_complex(g) for g in seeded_graphs(30, 9, seed=601)]
     complexes += [neighborhood_complex(g)
-                  for _, g, _ in random_chordal_corpus(30, seed=801)]
+                  for _, g in random_chordal_corpus(30, seed=801)]
     complexes.append(neighborhood_complex(counterexample_graph()))
     for i, X in enumerate(complexes):
         smith = [b for b, _ in groups_of(X, 3)]

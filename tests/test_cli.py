@@ -164,27 +164,60 @@ class TestHomology:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2 and "line 2" in err
 
-    @pytest.mark.parametrize("argv, text, field", [
-        (["analyze"], '{"n": 3}', "edges"),
-        (["analyze"], '{"n": 3, "edges": null}', "edges"),
-        (["homology", "--complex"], '{"facets": 5}', "facets"),
-        (["homology", "--complex"], '{"facets": [[0, "a"], [1, 2]]}', "facets"),
-        (["analyze"], '{"n": 3, "edges": [[0, 1.7], [true, 2]]}', "edges"),
-        (["analyze"], '{"n": 3, "edges": [[true, 2]]}', "edges"),
-        (["analyze"], '{"n": 2.5, "edges": []}', "n"),
-        (["analyze"], '{"n": true, "edges": []}', "n"),
-        (["homology", "--complex"], '{"facets": [[0, 1.5], [2.9, 0]]}', "facets"),
-        (["homology", "--complex"], '{"facets": [[0, false], [1, 2]]}', "facets"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"7": "x", "01": "a", '
-                      '"1": "b", "-3": 4}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"2": "x"}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"-1": "x"}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"01": "a"}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {" 1": "a"}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": 4}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": null}}', "labels"),
-        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}', "labels"),
+    @pytest.mark.parametrize("text, line", [
+        ("n three\n", "line 1: cannot parse 'n three'"),
+        ("n 3\ne 0 x\n", "line 2: cannot parse 'e 0 x'"),
+        ("# comment\nn 3\ne 0 1 2\n", "line 3: cannot parse 'e 0 1 2'"),
     ])
+    def test_parse_error_names_the_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {line}\n"
+
+    # (argv, text, field, cause): the error is "JSON field <field> is <cause>"
+    MALFORMED_JSON = [
+        (["analyze"], '{"n": 3}', "edges",
+         "missing"),
+        (["analyze"], '{"n": 3, "edges": null}', "edges",
+         "malformed: 'NoneType' object is not iterable"),
+        (["homology", "--complex"], '{"facets": 5}', "facets",
+         "malformed: 'int' object is not iterable"),
+        (["homology", "--complex"], '{"facets": [[0, "a"], [1, 2]]}', "facets",
+         "malformed: 'a' is not an integer"),
+        (["analyze"], '{"n": 3, "edges": [[0, 1.7], [true, 2]]}', "edges",
+         "malformed: 1.7 is not an integer"),
+        (["analyze"], '{"n": 3, "edges": [[true, 2]]}', "edges",
+         "malformed: True is not an integer"),
+        (["analyze"], '{"n": 2.5, "edges": []}', "n",
+         "malformed: 2.5 is not an integer"),
+        (["analyze"], '{"n": true, "edges": []}', "n",
+         "malformed: True is not an integer"),
+        (["homology", "--complex"], '{"facets": [[0, 1.5], [2.9, 0]]}', "facets",
+         "malformed: 1.5 is not an integer"),
+        (["homology", "--complex"], '{"facets": [[0, false], [1, 2]]}', "facets",
+         "malformed: False is not an integer"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"7": "x", "01": "a", '
+                      '"1": "b", "-3": 4}}', "labels",
+         "malformed: '7': 'x' is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"2": "x"}}', "labels",
+         "malformed: '2': 'x' is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"-1": "x"}}', "labels",
+         "malformed: '-1': 'x' is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"01": "a"}}', "labels",
+         "malformed: '01': 'a' is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {" 1": "a"}}', "labels",
+         "malformed: ' 1': 'a' is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": 4}}', "labels",
+         "malformed: '1': 4 is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": {"1": null}}', "labels",
+         "malformed: '1': None is not a label of a vertex"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}', "labels",
+         "malformed: 'list' object has no attribute 'items'"),
+    ]
+
+    @pytest.mark.parametrize("argv, text, field", [case[:3] for case in MALFORMED_JSON])
     def test_malformed_json_exit_code(self, capsys, tmp_path, argv, text, field):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -192,6 +225,8 @@ class TestHomology:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert repr(field) in err
+        cause = next(case[3] for case in self.MALFORMED_JSON if case[1] == text)
+        assert err == f"error: JSON field {field!r} is {cause}\n"
 
 
 class TestAnalyze:

@@ -51,7 +51,7 @@ def uncleared_groups(X, max_dim):
 def excised_groups(X, apex, chains=homology._OutsideStar):
     """(betti, torsion) in degrees 0..dim+1 from the chain complex of X
     relative to the closed star of `apex`."""
-    groups = homology._homology_groups(X, "smith", chains(X, apex))
+    groups = homology._homology_groups(chains(X, apex), "smith")
     return [(g.betti, g.torsion) for g in islice(groups, X.dim + 2)]
 
 
@@ -60,10 +60,10 @@ class OpenStarOnly:
     the apex, the link faces among them."""
 
     def __init__(self, X, apex):
-        self._rest = [sorted(f - {apex}) for f in X.facets]
+        self.facets = [sorted(f - {apex}) for f in X.facets]
 
     def faces(self, k):
-        return sorted({s for f in self._rest for s in combinations(f, k + 1)})
+        return sorted({s for f in self.facets for s in combinations(f, k + 1)})
 
 
 @pytest.fixture
@@ -241,7 +241,7 @@ class TestConnectivity:
         assert connectivity_of_complex(SimplicialComplex([()]), 1) == ConnectivityBound(-2, True)
 
     def test_incremental_matches_full(self):
-        chordal = [g for _, g, _ in random_chordal_corpus(30, 1)]
+        chordal = [g for _, g in random_chordal_corpus(30, 1)]
         for g in seeded_graphs(20, 8, seed=19, density=0.5) + chordal:
             X = neighborhood_complex(g)
             rep = reduced_homology(X, 3)
@@ -309,17 +309,46 @@ class TestFaceCapOfTheScan:
         monkeypatch.setattr(homology, "FACE_CAP", 30)
 
     def test_refuses_the_first_degree_over_the_cap(self):
-        # the 8-vertex simplex has 8, 28 and 56 faces in degrees 0, 1, 2
+        # the boundary of the 9-vertex simplex: apex 0 leaves one far facet,
+        # an 8-vertex simplex with 8, 28 and 56 faces in degrees 0, 1, 2
+        X = SimplicialComplex(combinations(range(9), 8))
         with pytest.raises(CapExceededError, match="degree 2 may have up to 56 faces"):
-            connectivity_of_complex(SimplicialComplex([range(8)]), 3)
+            connectivity_of_complex(X, 3)
+
+    def test_a_cone_has_no_faces_to_cap(self):
+        # every facet of a simplex holds the apex, so the relative basis is
+        # empty in every degree, though X has 56 faces in degree 2
+        X = SimplicialComplex([range(8)])
+        assert connectivity_of_complex(X, 3) == ConnectivityBound(3, False)
+        with pytest.raises(CapExceededError, match="degree 2 may have up to 56 faces"):
+            reduced_homology(X, 3)
+
+    def test_queen_7x8_is_capped_on_the_facets_that_miss_the_apex(self, monkeypatch):
+        monkeypatch.setattr(homology, "FACE_CAP", 181_652)
+        X = neighborhood_complex(queen_graph(7, 8))
+        chains = homology._OutsideStar(X, homology._apex(X))
+        with pytest.raises(CapExceededError, match="degree 3 may have up to 351708 faces"):
+            homology._check_face_cap(X, 3)
+        homology._check_face_cap(chains, 3)
+        monkeypatch.setattr(homology, "FACE_CAP", 181_651)
+        with pytest.raises(CapExceededError, match="degree 3 may have up to 181652 faces"):
+            homology._check_face_cap(chains, 3)
+        # the bounds read facets alone: neither enumerates a face
+        assert not X._faces and not chains._faces
 
     def test_degrees_past_an_early_exit_are_not_checked(self):
-        # degree 1 is bounded by 30 and H~_0 = Z stops the scan there, so the
-        # degree 2 bound of 40 is never looked at
+        # apex 0 leaves the far facet range(6, 12): degree 1 is bounded by 15
+        # and H~_0 = Z stops the scan there, so degree 2 is never looked at;
+        # reduced_homology bounds degree 2 on all of X by 40
         X = SimplicialComplex([range(6), range(6, 12)])
         assert connectivity_of_complex(X, 3) == ConnectivityBound(-1, True)
         with pytest.raises(CapExceededError, match="degree 2 may have up to 40 faces"):
             reduced_homology(X, 1)
+        # apex 7 leaves the far facet range(7), with 21 faces in degree 1 and
+        # 35 in degree 2: the scan stops before the bound it would refuse
+        Y = SimplicialComplex([range(7), range(7, 15)])
+        assert homology._apex(Y) == 7
+        assert connectivity_of_complex(Y, 3) == ConnectivityBound(-1, True)
 
 
 class TestClearing:
