@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .graph import json_field, json_int
+from .graph import json_field, json_int, json_list
 
 
 class SimplicialComplex:
@@ -99,7 +99,8 @@ class SimplicialComplex:
     def from_json(cls, text):
         obj = json.loads(text)
         facets = json_field(obj, "facets",
-                            lambda fs: [frozenset(json_int(v) for v in f) for f in fs])
+                            lambda fs: [frozenset(json_int(v) for v in json_list(f))
+                                       for f in json_list(fs)])
         return cls.from_faces(facets)
 
 

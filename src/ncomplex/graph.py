@@ -31,10 +31,19 @@ def json_int(value):
     return value
 
 
+def json_list(value):
+    """`value` if it is a JSON array."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not an array")
+    return value
+
+
 def _json_labels(labels, n):
     """{vertex: label} from a JSON object whose keys are the canonical
     decimals of vertices 0..n-1 and whose values are strings; anything else
     is refused."""
+    if type(labels) is not dict:
+        raise TypeError(f"{labels!r} is not an object")
     out = {}
     for key, value in labels.items():
         v = int(key)
@@ -118,7 +127,8 @@ class Graph:
         obj = json.loads(text)
         n = json_field(obj, "n", json_int)
         edges = json_field(obj, "edges",
-                           lambda es: [(json_int(u), json_int(v)) for u, v in es])
+                           lambda es: [(json_int(u), json_int(v))
+                                      for u, v in map(json_list, json_list(es))])
         labels = None
         if "labels" in obj and obj["labels"]:
             labels = json_field(obj, "labels", lambda ls: _json_labels(ls, n))

@@ -21,8 +21,9 @@ columns of the unit pivots that `smith_normal_form` took on d_k:
   itself cleared.
 
 Only unit pivots clear rows; the classical reduction's pivots never do.
-The rational-rank route clears nothing and stays an independent check on
-the full matrices.
+A cleared row is never built: `boundary_matrix` leaves it out of its row
+index, so it gets no entries. The rational-rank route clears nothing and
+stays an independent check on the full matrices.
 
 The connectivity scan reduces a smaller chain complex, the one relative
 to the closed star st w of one apex vertex w (Munkres 1984, sections 9
@@ -103,19 +104,20 @@ class HomologyReport:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def boundary_matrix(X, k):
+def boundary_matrix(X, k, cleared=frozenset()):
     """Boundary operator from k-chains to (k-1)-chains.
 
     For k = 0 the rows hold the single empty face, making the complex
     augmented. X may also be the faces outside a closed star
     (`_OutsideStar`): a subface missing from its rows is held by a facet
-    through the apex, so it is zero in the quotient and is skipped.
+    through the apex, so it is zero in the quotient and is skipped, as is
+    any row whose index is in `cleared`: it stays in `rows` with no entries.
     """
     if k < 0:
         raise ValueError("boundary dimension must be non-negative")
     rows = X.faces(k - 1)
     cols = X.faces(k)
-    row_index = {f: i for i, f in enumerate(rows)}
+    row_index = {f: i for i, f in enumerate(rows) if i not in cleared}
     # combinations(face, k) drops the vertex at position k first, then k - 1, ...
     signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
     entries = {}
@@ -172,18 +174,14 @@ def _check_face_cap(chains, k):
             f"degree {k} may have up to {bound} faces, above the cap of {FACE_CAP}")
 
 
-def _reduce(entries, method, cleared):
-    """(rank, torsion, unit-pivot columns) of one boundary matrix.
-
-    The Smith route drops the rows in `cleared` first (see the module
-    docstring). The rank route clears nothing, returns no pivots and sees
-    no torsion.
-    """
+def _reduce(entries, method):
+    """(rank, torsion, unit-pivot columns) of one boundary matrix. The rank
+    route returns no pivots and sees no torsion."""
     if method == "rank":
         return rank_over_rationals(entries), (), frozenset()
     if method != "smith":
         raise ValueError(f"unknown method {method!r}")
-    form = smith_normal_form({rc: v for rc, v in entries.items() if rc[0] not in cleared})
+    form = smith_normal_form(entries)
     return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
 
 
@@ -193,13 +191,17 @@ def _homology_groups(chains, method):
     `chains` is a complex X, or the faces of X outside a closed star, whose
     groups are the same. H~_{k-1} needs d_{k-1} and d_k; each boundary is
     built only when the next group asks for it, after its degree of `chains`
-    passes the face cap, and the unit pivots of d_{k-1} clear the rows of d_k.
+    passes the face cap. On the Smith route the unit pivots of d_{k-1} clear
+    the rows of d_k, which are never built. With no (-1)-face, as relative
+    to a star or on a void complex, d_0 is zero and is skipped.
     """
     rank_k, cleared = 0, frozenset()
     for k in count():
         _check_face_cap(chains, k)
-        B = boundary_matrix(chains, k)
-        rank_next, torsion, cleared = _reduce(B.entries, method, cleared)
+        if not k and not chains.faces(-1):
+            continue
+        B = boundary_matrix(chains, k, cleared)
+        rank_next, torsion, cleared = _reduce(B.entries, method)
         if k:
             # torsion of H~_{k-1} comes from the boundary out of degree k
             yield HomologyGroup(k - 1, len(B.rows) - rank_k - rank_next, torsion)

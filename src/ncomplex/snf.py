@@ -10,7 +10,11 @@ Two independent routes are kept deliberately separate:
   over its pairs puts that in divisibility order. The Smith form is
   unique, so the pivot order changes the cost, not the result. The
   columns of the unit pivots are reported alongside it, for `homology` to
-  clear the matching rows of the next boundary.
+  clear the matching rows of the next boundary. The elimination keeps
+  its columns as lists of row indices, not sets: a boundary column holds
+  at most k + 1 entries, an empty set already takes 216 bytes against
+  about 90 for a short list, and the columns are much of the peak memory
+  on the largest boundaries.
 * `rank_over_rationals` runs fraction-free cross-multiplication
   elimination, normalizing rows by their gcd to keep entries small.
 
@@ -21,6 +25,7 @@ redundancy.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -108,9 +113,9 @@ def _unit_pivot_phase(rows, cols):
                         row2[c2] = factor * v2
                         col = cols.get(c2)
                         if col is None:
-                            cols[c2] = {r2}
+                            cols[c2] = [r2]
                         else:
-                            col.add(r2)
+                            col.append(r2)
                         continue
                     v += factor * v2
                     if v:
@@ -179,7 +184,12 @@ def smith_normal_form(entries):
     `entries` maps (row, column) to a nonzero integer; zero rows and columns
     are irrelevant to the result and may be omitted.
     """
-    rows, cols = _sparse_from_entries(entries)
+    rows, cols = defaultdict(dict), defaultdict(list)
+    for (r, c), v in entries.items():
+        if v:
+            rows[r][c] = v
+            cols[c].append(r)
+    rows.default_factory = cols.default_factory = None
     pivots = _unit_pivot_phase(rows, cols)
     tail = _classical_invariant_factors(rows)
     # a diagonal block of ones prepends cleanly to any divisibility chain

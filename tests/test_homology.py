@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -126,6 +127,18 @@ class TestBoundaryMatrix:
         for k in range(X.dim + 2):
             assert boundary_matrix(X, k).entries == reference_boundary_entries(X, k)
 
+    @given(complexes(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_cleared_rows_get_no_entries(self, X, rng):
+        for k in range(X.dim + 2):
+            full = boundary_matrix(X, k)
+            cleared = frozenset(rng.sample(range(len(full.rows)),
+                                           rng.randint(0, len(full.rows))))
+            B = boundary_matrix(X, k, cleared)
+            assert (B.rows, B.cols) == (full.rows, full.cols)
+            assert B.entries == {(i, j): v for (i, j), v in full.entries.items()
+                                 if i not in cleared}
+
     @given(graphs(max_n=6))
     @settings(max_examples=30, deadline=None)
     def test_boundary_squares_to_zero_random(self, g):
@@ -186,8 +199,8 @@ class TestReducedHomology:
 
     def test_euler_check_trips_on_a_dropped_entry(self, monkeypatch):
         # a point: without its one augmentation entry H~_0 reads Z
-        def dropped(X, k):
-            B = boundary_matrix(X, k)
+        def dropped(X, k, cleared=frozenset()):
+            B = boundary_matrix(X, k, cleared)
             entries = dict(B.entries)
             if entries:
                 del entries[min(entries)]
@@ -302,6 +315,21 @@ class TestExcision:
                 assert chains.faces(k) == [f for f in X.faces(k)
                                            if not any(set(f) | {w} <= g for g in X.facets)]
 
+    def test_no_boundary_out_of_degree_zero_without_an_empty_face(self, monkeypatch):
+        built = []
+
+        def recorded(X, k, cleared=frozenset()):
+            built.append(k)
+            return boundary_matrix(X, k, cleared)
+        monkeypatch.setattr(homology, "boundary_matrix", recorded)
+        X = neighborhood_complex(cycle_graph(5))
+        reduced_homology(X, 1)
+        assert built == [0, 1, 2]
+        # relative to the star there is no (-1)-face: d_0 is zero
+        built.clear()
+        assert connectivity_of_complex(X, 1) == ConnectivityBound(0, True)
+        assert built == [1, 2]
+
 
 class TestFaceCapOfTheScan:
     @pytest.fixture(autouse=True)
@@ -379,6 +407,19 @@ class TestClearing:
         # the boundary carrying the torsion did lose rows to clearing
         entries, _ = smith_calls[2 + suspensions]
         assert len({r for r, _ in entries}) < X.face_count(1 + suspensions)
+
+
+class TestMemory:
+    def test_queen_report_peak(self):
+        # 17.6 MiB traced; 32.2 MiB when the Smith route still built the
+        # cleared rows and kept its elimination columns as sets
+        tracemalloc.start()
+        try:
+            reduced_homology(neighborhood_complex(queen_graph(4, 6)), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestCrossRoute:
