@@ -67,16 +67,11 @@ def _cmd_gen(args):
 def _cmd_homology(args):
     if args.complex:
         X = SimplicialComplex.from_json(_read_text(args.input))
-        source = args.input
     else:
-        G = _load_graph(args.input)
-        X = neighborhood_complex(G)
-        source = args.input
-    report = reduced_homology(X, args.max_dim, source=source)
-    if args.format == "table":
-        _emit(_homology_table(report), args.output)
-    else:
-        _emit(report.to_json(), args.output)
+        X = neighborhood_complex(_load_graph(args.input))
+    report = reduced_homology(X, args.max_dim, source=args.input)
+    text = _homology_table(report) if args.format == "table" else report.to_json()
+    _emit(text, args.output)
     return 0
 
 

@@ -38,6 +38,13 @@ def json_list(value):
     return value
 
 
+def _json_edge(edge):
+    """(u, v) from a JSON array of two integers; anything else is refused."""
+    if len(json_list(edge)) != 2:
+        raise ValueError(f"{edge!r} is not an edge")
+    return json_int(edge[0]), json_int(edge[1])
+
+
 def _json_labels(labels, n):
     """{vertex: label} from a JSON object whose keys are the canonical
     decimals of vertices 0..n-1 and whose values are strings; anything else
@@ -126,9 +133,7 @@ class Graph:
     def from_json(cls, text):
         obj = json.loads(text)
         n = json_field(obj, "n", json_int)
-        edges = json_field(obj, "edges",
-                           lambda es: [(json_int(u), json_int(v))
-                                      for u, v in map(json_list, json_list(es))])
+        edges = json_field(obj, "edges", lambda es: list(map(_json_edge, json_list(es))))
         labels = None
         if "labels" in obj and obj["labels"]:
             labels = json_field(obj, "labels", lambda ls: _json_labels(ls, n))

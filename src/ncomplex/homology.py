@@ -133,7 +133,7 @@ class _OutsideStar:
     """The faces of X outside the closed star of `apex`, lexicographic per
     degree: the basis of C(X, st apex). The k-faces are the (k + 1)-subsets
     of the facets that miss the apex that no facet through it holds (see
-    the module docstring)."""
+    the module docstring). A degree must pass the face cap to be enumerated."""
 
     def __init__(self, X, apex):
         self.facets = [sorted(f) for f in X.facets if apex not in f]
@@ -142,6 +142,8 @@ class _OutsideStar:
 
     def faces(self, k):
         if k not in self._faces:
+            if k >= 0:  # degree -1 only decides whether d_0 is skipped
+                _check_face_cap(self, k)
             subsets = {s for f in self.facets for s in combinations(f, k + 1)}
             self._faces[k] = sorted(s for s in subsets
                                     if not any(g.issuperset(s) for g in self._star))
@@ -189,15 +191,14 @@ def _homology_groups(chains, method):
     """Yield H~_0, H~_1, ... of `chains` in turn, reducing each boundary once.
 
     `chains` is a complex X, or the faces of X outside a closed star, whose
-    groups are the same. H~_{k-1} needs d_{k-1} and d_k; each boundary is
-    built only when the next group asks for it, after its degree of `chains`
-    passes the face cap. On the Smith route the unit pivots of d_{k-1} clear
-    the rows of d_k, which are never built. With no (-1)-face, as relative
-    to a star or on a void complex, d_0 is zero and is skipped.
+    groups are the same; `chains` or its caller checks the face cap. H~_{k-1}
+    needs d_{k-1} and d_k, each built when the next group asks for it. On
+    the Smith route the unit pivots of d_{k-1} clear the rows of d_k, which
+    are never built. With no (-1)-face, as relative to a star or on a void
+    complex, d_0 is zero and is skipped.
     """
     rank_k, cleared = 0, frozenset()
     for k in count():
-        _check_face_cap(chains, k)
         if not k and not chains.faces(-1):
             continue
         B = boundary_matrix(chains, k, cleared)

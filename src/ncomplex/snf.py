@@ -1,6 +1,12 @@
 """Exact integer linear algebra for sparse matrices.
 
-Two independent routes are kept deliberately separate:
+Both routes hold a matrix as `_sparse` builds it, a dict {column: value}
+per row and a list of row indices per column (a boundary column holds at
+most k + 1, and a short list takes about 90 bytes to an empty set's 216).
+Both visit rows through one lazy heap of (length, row): each elimination
+pushes every row it changes again, and an entry whose length no longer
+matches its row is skipped. A pivot clears its column's rows in list
+order, which is safe: each update reads only the pivot row and writes its own.
 
 * `smith_normal_form` reduces by unimodular row/column operations. Unit
   pivots eliminate the bulk of a boundary matrix with no divisions: the
@@ -10,17 +16,15 @@ Two independent routes are kept deliberately separate:
   over its pairs puts that in divisibility order. The Smith form is
   unique, so the pivot order changes the cost, not the result. The
   columns of the unit pivots are reported alongside it, for `homology` to
-  clear the matching rows of the next boundary. The elimination keeps
-  its columns as lists of row indices, not sets: a boundary column holds
-  at most k + 1 entries, an empty set already takes 216 bytes against
-  about 90 for a short list, and the columns are much of the peak memory
-  on the largest boundaries.
-* `rank_over_rationals` runs fraction-free cross-multiplication
+  clear the matching rows of the next boundary.
+* `rank_over_rationals` pivots on the shortest row's entry in its
+  sparsest column and runs fraction-free cross-multiplication
   elimination, normalizing rows by their gcd to keep entries small.
 
 Everything uses Python integers, so intermediate growth is safe, only slow.
 Betti numbers derived from the two routes must agree; tests lean on that
-redundancy.
+redundancy. The rank route's independence lies in its pivot choice and
+arithmetic, and in test oracles that build their own layout.
 """
 from __future__ import annotations
 
@@ -41,39 +45,42 @@ class SmithForm:
     unit_pivot_cols: frozenset = frozenset()
 
 
-def _sparse_from_entries(entries):
-    rows = {}
-    cols = {}
+def _sparse(entries):
+    """Row dicts and column lists of a {(row, column): value} matrix, zeros skipped."""
+    rows, cols = defaultdict(dict), defaultdict(list)
     for (r, c), v in entries.items():
-        if v == 0:
-            continue
-        row = rows.get(r)
-        if row is None:
-            rows[r] = row = {}
-        row[c] = v
-        col = cols.get(c)
-        if col is None:
-            cols[c] = col = set()
-        col.add(r)
+        if v:
+            rows[r][c] = v
+            cols[c].append(r)
+    rows.default_factory = cols.default_factory = None
     return rows, cols
+
+
+def _detach(rows, cols, r, c):
+    """Drop row r and column c of the matrix; returns the entry (r, c), the
+    rest of row r and the other rows of column c."""
+    row = rows.pop(r)
+    pivot = row.pop(c)
+    for c2 in row:
+        col = cols[c2]
+        col.remove(r)
+        if not col:
+            del cols[c2]
+    others = cols.pop(c)
+    others.remove(r)
+    return pivot, row, others
 
 
 def _unit_pivot_phase(rows, cols):
     """Eliminate on +-1 pivots; returns the list of pivot columns.
 
-    A lazy heap of (length, row) visits the shortest row first. An entry
-    whose length no longer matches its row is skipped: every elimination
-    pushes each row it changes again. A row with no +-1 entry is dropped
-    until an elimination changes it, so when the heap runs dry no row left
-    holds a +-1 entry. Otherwise the pivot is the row's +-1 entry in the
-    sparsest column, ties going to the lower column index.
-
-    Each pivot clears its column by row operations, then its row and column
-    are dropped: with the column already zero elsewhere, the implicit column
-    operations that would clear the pivot row touch nothing else. The rows
-    it clears are visited in no particular order: each update reads only the
-    pivot row and writes only its own row, and the heap pops its entries in
-    (length, row) order whatever order they were pushed in.
+    A row with no +-1 entry is dropped until an elimination changes it, so
+    when the heap runs dry no row left holds a +-1 entry. Otherwise the
+    pivot is the row's +-1 entry in the sparsest column, ties going to the
+    lower column index. Each pivot clears its column by row operations,
+    then its row and column are dropped: with the column already zero
+    elsewhere, the implicit column operations that would clear the pivot
+    row touch nothing else.
     """
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
@@ -91,22 +98,14 @@ def _unit_pivot_phase(rows, cols):
                     best, c = n, cc
         if c is None:
             continue
-        del rows[r]
-        # the pivot is its own inverse: adding -pivot * row2[c] times the
-        # pivot row to row2 clears row2[c]
-        f = -row.pop(c)
-        for c2 in row:
-            col = cols[c2]
-            col.remove(r)
-            if not col:
-                del cols[c2]
-        others = cols.pop(c)
-        others.remove(r)
+        pivot, row, others = _detach(rows, cols, r, c)
         if others:
             prow = list(row.items())
             for r2 in others:
                 row2 = rows[r2]
-                factor = f * row2.pop(c)
+                # the pivot is its own inverse: adding -pivot * row2[c] times
+                # the pivot row to row2 clears row2[c]
+                factor = -pivot * row2.pop(c)
                 for c2, v2 in prow:
                     v = row2.get(c2)
                     if v is None:
@@ -184,12 +183,7 @@ def smith_normal_form(entries):
     `entries` maps (row, column) to a nonzero integer; zero rows and columns
     are irrelevant to the result and may be omitted.
     """
-    rows, cols = defaultdict(dict), defaultdict(list)
-    for (r, c), v in entries.items():
-        if v:
-            rows[r][c] = v
-            cols[c].append(r)
-    rows.default_factory = cols.default_factory = None
+    rows, cols = _sparse(entries)
     pivots = _unit_pivot_phase(rows, cols)
     tail = _classical_invariant_factors(rows)
     # a diagonal block of ones prepends cleanly to any divisibility chain
@@ -199,26 +193,18 @@ def smith_normal_form(entries):
 
 def rank_over_rationals(entries):
     """Rank by fraction-free elimination, exact over the rationals."""
-    rows, cols = _sparse_from_entries(entries)
+    rows, cols = _sparse(entries)
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
     rank = 0
     while heap:
-        nnz, r = heapq.heappop(heap)
+        length, r = heapq.heappop(heap)
         row = rows.get(r)
-        if row is None:
-            continue
-        if len(row) > nnz:
-            heapq.heappush(heap, (len(row), r))
+        if row is None or len(row) != length:
             continue
         c = min(row, key=lambda cc: (len(cols[cc]), cc))
-        piv = row[c]
-        prow = rows.pop(r)
-        for c2 in prow:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        for r2 in sorted(cols.pop(c, ())):
+        piv, prow, others = _detach(rows, cols, r, c)
+        for r2 in others:
             row2 = rows[r2]
             b = row2.pop(c)
             if piv in (1, -1):
@@ -227,25 +213,28 @@ def rank_over_rationals(entries):
                 mult = b
                 for c2 in row2:
                     row2[c2] *= piv
-            # columns outside prow keep their (scaled) entries
+            # columns outside the pivot row keep their (scaled) entries
             for c2, pv in prow.items():
-                if c2 == c:
+                v = row2.get(c2)
+                if v is None:
+                    row2[c2] = -mult * pv
+                    col = cols.get(c2)
+                    if col is None:
+                        cols[c2] = [r2]
+                    else:
+                        col.append(r2)
                     continue
-                nv = row2.get(c2, 0) - mult * pv
-                if nv == 0:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                        if not cols[c2]:
-                            del cols[c2]
+                v -= mult * pv
+                if v:
+                    row2[c2] = v
                 else:
-                    if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
-                    row2[c2] = nv
+                    del row2[c2]
+                    col = cols[c2]
+                    col.remove(r2)
+                    if not col:
+                        del cols[c2]
             if row2:
-                g = 0
-                for v in row2.values():
-                    g = gcd(g, v)
+                g = gcd(*row2.values())
                 if g > 1:
                     for c2 in row2:
                         row2[c2] //= g

@@ -219,6 +219,10 @@ class TestHomology:
          "malformed: 2 is not an array"),
         (["homology", "--complex"], '{"facets": [[0, 1], 2]}', "facets",
          "malformed: 2 is not an array"),
+        (["analyze"], '{"n": 3, "edges": [[0, 1, 2]]}', "edges",
+         "malformed: [0, 1, 2] is not an edge"),
+        (["analyze"], '{"n": 3, "edges": [[0]]}', "edges",
+         "malformed: [0] is not an edge"),
     ]
 
     @pytest.mark.parametrize("argv, text, field", [case[:3] for case in MALFORMED_JSON])
