@@ -118,8 +118,9 @@ def boundary_matrix(X, k, cleared=frozenset()):
     rows = X.faces(k - 1)
     cols = X.faces(k)
     row_index = {f: i for i, f in enumerate(rows) if i not in cleared}
-    # combinations(face, k) drops the vertex at position k first, then k - 1, ...
-    signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
+    # combinations(face, k) drops the vertex at position k first, then k - 1,
+    # ...; a degree with no faces skips the list, so a large max_dim stays linear
+    signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)] if cols else ()
     entries = {}
     for j, face in enumerate(cols):
         for sub, sign in zip(combinations(face, k), signs):
@@ -181,8 +182,6 @@ def _reduce(entries, method):
     route returns no pivots and sees no torsion."""
     if method == "rank":
         return rank_over_rationals(entries), (), frozenset()
-    if method != "smith":
-        raise ValueError(f"unknown method {method!r}")
     form = smith_normal_form(entries)
     return form.rank, tuple(d for d in form.factors if d > 1), form.unit_pivot_cols
 
@@ -218,6 +217,8 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     groups reach X.dim, the reduced Euler characteristic must equal the
     alternating sum of Betti numbers, or ArithmeticError is raised.
     """
+    if method not in ("smith", "rank"):
+        raise ValueError(f"unknown method {method!r}")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     for k in range(max_dim + 2):
@@ -253,6 +254,8 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
     against the face cap, over the facets that miss the apex, just before it
     is built; a degree past the first nonzero group is neither.
     """
+    if method not in ("smith", "rank"):
+        raise ValueError(f"unknown method {method!r}")
     if dim_cap < -1:
         raise ValueError("dim_cap must be at least -1")
     if X.is_void:

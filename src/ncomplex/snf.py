@@ -6,7 +6,8 @@ most k + 1, and a short list takes about 90 bytes to an empty set's 216).
 Both visit rows through one lazy heap of (length, row): each elimination
 pushes every row it changes again, and an entry whose length no longer
 matches its row is skipped. A pivot clears its column's rows in list
-order, which is safe: each update reads only the pivot row and writes its own.
+order, which is safe: each update reads only the pivot row and writes its
+own. `_add_multiple` is the one row update of both routes.
 
 * `smith_normal_form` reduces by unimodular row/column operations. Unit
   pivots eliminate the bulk of a boundary matrix with no divisions: the
@@ -71,6 +72,31 @@ def _detach(rows, cols, r, c):
     return pivot, row, others
 
 
+def _add_multiple(cols, r2, row2, factor, prow):
+    """Add `factor` times the (column, value) pairs `prow` to row r2, held
+    in `row2`, in place; r2 joins the column list of each entry that appears
+    and leaves that of each that cancels, and an emptied list is deleted."""
+    for c2, v2 in prow:
+        v = row2.get(c2)
+        if v is None:
+            row2[c2] = factor * v2
+            col = cols.get(c2)
+            if col is None:
+                cols[c2] = [r2]
+            else:
+                col.append(r2)
+            continue
+        v += factor * v2
+        if v:
+            row2[c2] = v
+        else:
+            del row2[c2]
+            col = cols[c2]
+            col.remove(r2)
+            if not col:
+                del cols[c2]
+
+
 def _unit_pivot_phase(rows, cols):
     """Eliminate on +-1 pivots; returns the list of pivot columns.
 
@@ -105,26 +131,7 @@ def _unit_pivot_phase(rows, cols):
                 row2 = rows[r2]
                 # the pivot is its own inverse: adding -pivot * row2[c] times
                 # the pivot row to row2 clears row2[c]
-                factor = -pivot * row2.pop(c)
-                for c2, v2 in prow:
-                    v = row2.get(c2)
-                    if v is None:
-                        row2[c2] = factor * v2
-                        col = cols.get(c2)
-                        if col is None:
-                            cols[c2] = [r2]
-                        else:
-                            col.append(r2)
-                        continue
-                    v += factor * v2
-                    if v:
-                        row2[c2] = v
-                    else:
-                        del row2[c2]
-                        col = cols[c2]
-                        col.remove(r2)
-                        if not col:
-                            del cols[c2]
+                _add_multiple(cols, r2, row2, -pivot * row2.pop(c), prow)
                 if row2:
                     heapq.heappush(heap, (len(row2), r2))
                 else:
@@ -214,25 +221,7 @@ def rank_over_rationals(entries):
                 for c2 in row2:
                     row2[c2] *= piv
             # columns outside the pivot row keep their (scaled) entries
-            for c2, pv in prow.items():
-                v = row2.get(c2)
-                if v is None:
-                    row2[c2] = -mult * pv
-                    col = cols.get(c2)
-                    if col is None:
-                        cols[c2] = [r2]
-                    else:
-                        col.append(r2)
-                    continue
-                v -= mult * pv
-                if v:
-                    row2[c2] = v
-                else:
-                    del row2[c2]
-                    col = cols[c2]
-                    col.remove(r2)
-                    if not col:
-                        del cols[c2]
+            _add_multiple(cols, r2, row2, -mult, prow.items())
             if row2:
                 g = gcd(*row2.values())
                 if g > 1:

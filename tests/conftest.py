@@ -8,7 +8,8 @@ nerves, whether a graph folds onto a clique from every fold sequence, and
 extension-chain certificates from rebuilt subgraphs and every neighbor
 subset. The chordal certificate order has a reference that tries each
 simplicial removal on a rebuilt subgraph against the clique number and a
-vertex-connectivity floor.
+vertex-connectivity floor. Ranks over GF(p) come from plain Gaussian
+elimination, to check the Smith route's torsion by universal coefficients.
 Vertex connectivity also has a reference flow routine that builds a fresh
 network for every pair and runs every flow to completion, and a reference
 in the library's earlier two-pass form, whose flows end without reading a
@@ -391,6 +392,32 @@ def minors_gcd_smith(matrix):
         factors.append(g // previous)
         previous = g
     return factors
+
+
+def rank_mod_p(entries, p):
+    """Rank over GF(p) of a {(row, column): value} matrix, by Gaussian
+    elimination: each row is reduced by the kept rows whose leading (least)
+    column it holds, until it is zero or leads with a new column."""
+    rows = {}
+    for (r, c), v in entries.items():
+        if v % p:
+            rows.setdefault(r, {})[c] = v % p
+    leading = {}  # column -> kept row that leads there with a 1
+    for row in rows.values():
+        while row:
+            c = min(row)
+            if c not in leading:
+                inverse = pow(row[c], -1, p)
+                leading[c] = {c2: v * inverse % p for c2, v in row.items()}
+                break
+            f = row[c]
+            for c2, v in leading[c].items():
+                nv = (row.get(c2, 0) - f * v) % p
+                if nv:
+                    row[c2] = nv
+                else:
+                    row.pop(c2, None)
+    return len(leading)
 
 
 def reference_smith_normal_form(entries):

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from itertools import combinations, islice
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ncomplex import homology
 from ncomplex.complexes import SimplicialComplex, neighborhood_complex
 from ncomplex.errors import CapExceededError
-from ncomplex.graph import complete_graph, cycle_graph, queen_graph
+from ncomplex.graph import Graph, complete_graph, cycle_graph, mycielskian, queen_graph
 from ncomplex.homology import (
     ConnectivityBound,
     boundary_matrix,
@@ -24,6 +25,7 @@ from conftest import (
     graphs,
     groups_of,
     homological_connectivity,
+    rank_mod_p,
     reference_boundary_entries,
     seeded_graphs,
     suspension,
@@ -221,6 +223,16 @@ class TestReducedHomology:
             b = groups_of(neighborhood_complex(queen_graph(n, m)), 3)
             assert a == b
 
+    def test_large_max_dim_stays_linear(self):
+        # a degree with no faces builds no sign list: 9.8 s at this size
+        # when each built one of k + 1 entries
+        t0 = time.time()
+        rep = reduced_homology(neighborhood_complex(cycle_graph(5)), 20_000)
+        elapsed = time.time() - t0
+        assert len(rep.groups) == 20_001
+        assert all(g.is_zero for g in rep.groups[2:])
+        assert elapsed < 3
+
     def test_report_json_contract(self):
         rep = reduced_homology(neighborhood_complex(queen_graph(2, 2)), 3, source="q22")
         payload = json.loads(rep.to_json())
@@ -274,6 +286,16 @@ class TestConnectivity:
         full = groups_of(X, X.dim + 1)
         for w in sorted(X.vertices):
             assert excised_groups(X, w) == full
+
+    def test_unknown_method_is_refused_up_front(self):
+        # each of these connectivity calls returns before any boundary is
+        # reduced, so a check left to the reduction never sees the method
+        for X, cap in ((SimplicialComplex([(0, 1)]), -1),
+                       (SimplicialComplex([]), 2), (SimplicialComplex([()]), 2)):
+            with pytest.raises(ValueError, match="unknown method 'bogus'"):
+                connectivity_of_complex(X, cap, method="bogus")
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            reduced_homology(SimplicialComplex([(0, 1)]), 1, method="bogus")
 
     def test_dim_cap_below_minus_one_is_refused(self):
         X = SimplicialComplex([(0, 1)])
@@ -446,3 +468,61 @@ class TestCrossRoute:
         top = X.dim + 1
         lifted = groups_of(suspension(X), top + 1)
         assert lifted[0] == (0, ()) and lifted[1:] == groups_of(X, top)
+
+
+def incidence_graph(K):
+    """The vertices and facets of K, with v ~ F when v lies in F. Its
+    neighbourhood complex is K disjoint from the nerve of K's facets, so it
+    has the homology of two copies of K."""
+    vertices = sorted(K.vertices)
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    facets = sorted(sorted(f) for f in K.facets)
+    return Graph(n + len(facets),
+                 [(index[v], n + j) for j, f in enumerate(facets) for v in f])
+
+
+def assert_universal_coefficients(X, report, p):
+    """dim H~_k(X; F_p) = betti_k + t_k(p) + t_{k-1}(p) in each degree of
+    the report, with t_k(p) the number of invariant factors of H~_k that p
+    divides (Hatcher 2002, Cor. 3A.6). The left side comes from ranks over
+    GF(p) of the reference boundaries, with no Smith form."""
+    top = report.max_dim
+    ranks = [rank_mod_p(reference_boundary_entries(X, k), p) for k in range(top + 2)]
+    divisible = [sum(d % p == 0 for d in g.torsion) for g in report.groups]
+    for k, g in enumerate(report.groups):
+        below = divisible[k - 1] if k else 0
+        assert X.face_count(k) - ranks[k] - ranks[k + 1] == g.betti + divisible[k] + below
+
+
+INCIDENCE_RP2 = neighborhood_complex(incidence_graph(PROJECTIVE_PLANE))
+
+
+class TestTorsionModP:
+    """The Smith route's torsion against ranks over GF(p), by universal
+    coefficients: the rank route sees no torsion, so this is its only
+    independent check on complexes larger than the minors oracle reaches."""
+
+    TORSION = [
+        (INCIDENCE_RP2, INCIDENCE_RP2.dim,
+         [(1, ()), (0, (2, 2)), (0, ()), (0, ()), (0, ())]),
+        (neighborhood_complex(mycielskian(incidence_graph(PROJECTIVE_PLANE))), 2,
+         [(0, ()), (1, ()), (0, (2, 2))]),
+    ]
+
+    @pytest.mark.parametrize("X, top, expected", TORSION, ids=["incidence", "mycielskian"])
+    def test_torsion_complexes(self, X, top, expected):
+        report = reduced_homology(X, top)
+        assert [(g.betti, g.torsion) for g in report.groups] == expected
+        for p in (2, 3, 5):
+            assert_universal_coefficients(X, report, p)
+        relative = homology._homology_groups(homology._OutsideStar(X, homology._apex(X)),
+                                             "smith")
+        assert tuple(islice(relative, top + 1)) == report.groups
+
+    @given(complexes())
+    @settings(max_examples=50, deadline=None)
+    def test_random_complexes(self, X):
+        report = reduced_homology(X, X.dim)
+        for p in (2, 3, 5):
+            assert_universal_coefficients(X, report, p)

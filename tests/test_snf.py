@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncomplex import homology, snf
@@ -170,6 +170,51 @@ def unit_rich_matrices(draw):
     cols = draw(st.integers(1, 8))
     cell = st.sampled_from([0, 0, 0, 1, 1, -1, -1, 2, -3])
     return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_layout(rows, cols):
+    """Each entry (r, c) has r exactly once in cols[c], and each column list
+    is non-empty and names only rows that hold its column."""
+    for r, row in rows.items():
+        for c in row:
+            assert cols[c].count(r) == 1
+    for c, col in cols.items():
+        assert col and all(c in rows[r] for r in col)
+
+
+any_matrices = st.one_of(unit_rich_matrices(), small_matrices())
+
+
+class TestSparseLayout:
+    @given(any_matrices, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_add_multiple_matches_dense_arithmetic(self, matrix, data):
+        assume(len(matrix) >= 2)
+        r, r2 = data.draw(st.permutations(range(len(matrix))))[:2]
+        factor = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        # the pivot row is out of the layout, as `_detach` leaves it
+        rows, cols = snf._sparse({(i, j): v for (i, j), v in entries_of(matrix).items()
+                                  if i != r})
+        row2 = rows.setdefault(r2, {})
+        snf._add_multiple(cols, r2, row2, factor,
+                          [(j, v) for j, v in enumerate(matrix[r]) if v])
+        expected = [list(row) for row in matrix]
+        expected[r] = [0] * len(matrix[r])
+        expected[r2] = [a + factor * b for a, b in zip(matrix[r2], matrix[r])]
+        assert [[rows.get(i, {}).get(j, 0) for j in range(len(row))]
+                for i, row in enumerate(matrix)] == expected
+        assert 0 not in row2.values()
+        assert_layout(rows, cols)
+
+    @given(any_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_unit_pivot_phase_keeps_the_layout(self, matrix):
+        rows, cols = snf._sparse(entries_of(matrix))
+        snf._unit_pivot_phase(rows, cols)
+        assert_layout(rows, cols)
+        assert all(rows.values())
+        # the heap runs dry only when no row holds a unit
+        assert all(v not in (1, -1) for row in rows.values() for v in row.values())
 
 
 def cleared_queen_boundaries():
