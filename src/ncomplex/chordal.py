@@ -44,21 +44,20 @@ def _find_hole(G, length):
     else:
         interiors = [(b, c) for b in range(G.n) for c in sorted(adj[b])]
     for inner in interiors:
-        outside = set(range(G.n)).difference(inner, *(adj[x] for x in inner))
+        blocked = set(inner).union(*(adj[x] for x in inner))
         starts = adj[inner[0]].difference(*(adj[x] | {x} for x in inner[1:]))
         ends = adj[inner[-1]].difference(*(adj[x] | {x} for x in inner[:-1]))
         for a in sorted(starts):
             for d in sorted(ends):
                 if d <= a or d in adj[a]:
                     continue
-                allowed = outside | {a, d}
                 parent = {a: None}
                 queue = [a]
                 for x in queue:
                     if x == d:
                         break
                     for y in sorted(adj[x]):
-                        if y in allowed and y not in parent:
+                        if (y == d or y not in blocked) and y not in parent:
                             parent[y] = x
                             queue.append(y)
                 if d in parent:

@@ -38,6 +38,10 @@ and 24):
   that misses w lies in lk w, and one in lk w is held by a facet through
   w, so the basis is the faces of the facets that miss w, less those some
   facet through w holds. The empty face lies in st w: degree -1 is empty.
+* The basis is read off `SimplicialComplex.faces`, the one face
+  enumerator, on the far complex of the facets that miss w. Bit i of a
+  vertex's mask is set when the i-th facet through w holds it, so a face
+  is held by one exactly when its vertices' masks AND to a nonzero value.
 * The quotient boundary drops the subfaces that lie in st w; of a face
   missing w these are the ones some facet through w holds.
 * This is a chain complex with its faces in lexicographic order per
@@ -48,9 +52,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, count, islice
 from math import comb
+from operator import and_
 
+from .complexes import SimplicialComplex
 from .errors import CapExceededError
 from .snf import rank_over_rationals, smith_normal_form
 
@@ -132,22 +139,24 @@ def boundary_matrix(X, k, cleared=frozenset()):
 
 class _OutsideStar:
     """The faces of X outside the closed star of `apex`, lexicographic per
-    degree: the basis of C(X, st apex). The k-faces are the (k + 1)-subsets
-    of the facets that miss the apex that no facet through it holds (see
-    the module docstring). A degree must pass the face cap to be enumerated."""
+    degree: the basis of C(X, st apex). The k-faces are those of the far
+    complex, on the facets that miss the apex, whose vertices' masks AND to
+    0 (see the module docstring); the AND starts from -1, so the empty face
+    is never kept. A degree must pass the face cap to be enumerated."""
 
     def __init__(self, X, apex):
-        self.facets = [sorted(f) for f in X.facets if apex not in f]
-        self._star = [f for f in X.facets if apex in f]
+        self._far = SimplicialComplex(f for f in X.facets if apex not in f)
+        self.facets = self._far.facets
+        star = [f for f in X.facets if apex in f]
+        self._mask = {v: sum(1 << i for i, f in enumerate(star) if v in f) for v in X.vertices}
         self._faces = {}
 
     def faces(self, k):
         if k not in self._faces:
             if k >= 0:  # degree -1 only decides whether d_0 is skipped
                 _check_face_cap(self, k)
-            subsets = {s for f in self.facets for s in combinations(f, k + 1)}
-            self._faces[k] = sorted(s for s in subsets
-                                    if not any(g.issuperset(s) for g in self._star))
+            mask = self._mask.__getitem__
+            self._faces[k] = [s for s in self._far.faces(k) if not reduce(and_, map(mask, s), -1)]
         return self._faces[k]
 
 

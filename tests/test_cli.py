@@ -377,6 +377,10 @@ REPORT_VERIFIER_STDOUT = {
     "mycielskian": "c8ec05efb894b3d7f627bec23b931d70f4042ded9914a9ce47ddb1948466a550",
 }
 
+# the same for `ncomplex verify table1 --format table`, the queen-board grid
+# the README documents
+QUEEN_GRID_STDOUT = "3eae37c9c5f57747ac08fb974577e4c30f8fcf7d609c6d981891652270da4622"
+
 
 def verifier_stdout_sha256(capsys, which):
     code, out, _ = run_cli(capsys, "verify", which, "--seed", "1", "--count", "100")
@@ -392,3 +396,9 @@ def test_scan_verifier_stdout_is_pinned(capsys, which):
 @pytest.mark.parametrize("which", sorted(REPORT_VERIFIER_STDOUT))
 def test_report_verifier_stdout_is_pinned(capsys, which):
     assert verifier_stdout_sha256(capsys, which) == REPORT_VERIFIER_STDOUT[which]
+
+
+def test_queen_grid_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "table1", "--format", "table")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUEEN_GRID_STDOUT

@@ -352,6 +352,21 @@ class TestExcision:
         assert connectivity_of_complex(X, 1) == ConnectivityBound(0, True)
         assert built == [1, 2]
 
+    def test_the_scan_enumerates_only_through_the_far_complex(self, monkeypatch):
+        queried = []
+        faces = SimplicialComplex.faces
+
+        def recorded(self, k):
+            queried.append((self.facets, k))
+            return faces(self, k)
+        monkeypatch.setattr(SimplicialComplex, "faces", recorded)
+        X = neighborhood_complex(cycle_graph(5))
+        assert connectivity_of_complex(X, 1) == ConnectivityBound(0, True)
+        # apex 0 lies in N(1) and N(4); N(0), N(2) and N(3) miss it, and their
+        # complex is asked once per degree, the scan's own faces coming from it
+        far = frozenset(map(frozenset, [(1, 4), (1, 3), (2, 4)]))
+        assert queried == [(far, k) for k in (-1, 0, 1, 2)]
+
 
 class TestFaceCapOfTheScan:
     @pytest.fixture(autouse=True)
