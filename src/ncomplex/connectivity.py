@@ -3,9 +3,11 @@
 Connectivity follows the flow scheme of Even (1975) and Esfahanian & Hakimi
 (1984): kappa is the least s-t vertex flow over sources s in the closed
 neighbourhood of a minimum-degree vertex and sinks t not adjacent to s. The
-flows run on one vertex-split digraph per graph, built once: vertex v
-becomes an arc in(v) -> out(v) of capacity one, each edge a pair of arcs
-out -> in of capacity n + 1, and each pair copies its capacities. Every
+flows run on the vertex-split digraph, where vertex v becomes an arc
+in(v) -> out(v) of capacity one and each edge a pair of arcs out -> in of
+capacity n + 1. An edge arc never carries more than one unit, so the
+residual network is read off G's own adjacency and one predecessor per
+vertex: `into[w] = u` while a path runs u -> w, for w other than t. Every
 common neighbour w of s and t carries its own path s -> w -> t before any
 search, since some maximum flow uses all of them; augmentation then breaks
 ties toward lower vertex indices and stops once the flow reaches the best
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import connected_components, induced_subgraph, is_connected
+from .graph import connected_components, is_connected
 
 
 @dataclass(frozen=True)
@@ -33,41 +35,22 @@ class CutComponents:
     components: tuple
 
 
-def _split_network(G):
-    """Capacities of the split digraph, with every reverse arc at zero, and
-    the sorted residual neighbours of each node; in(v) = 2v, out(v) = 2v + 1."""
-    big = G.n + 1
-    cap = {}
-    adjacency = []
-    for v in range(G.n):
-        cap[(2 * v, 2 * v + 1)] = 1
-        cap[(2 * v + 1, 2 * v)] = 0
-        for w in G.adjacency[v]:
-            cap[(2 * v + 1, 2 * w)] = big
-            cap[(2 * w, 2 * v + 1)] = 0
-        closed = sorted(G.adjacency[v] | {v})
-        adjacency.append([2 * w + 1 for w in closed])
-        adjacency.append([2 * w for w in closed])
-    return cap, adjacency
-
-
-def _max_flow(G, network, s, t, limit):
+def _max_flow(G, closed, s, t, limit):
     """(value, cut) of a flow from s to t, which must not be adjacent,
-    stopped at `limit`. Each augmenting path comes from a BFS out of out(s)
-    with ties toward lower nodes. A search that misses in(t) has reached
-    exactly the source side of a minimum cut, so the flow ends there and
-    `cut` holds the vertices whose in-node but not out-node it reached. A
-    flow stopped at `limit` has cut None; when the common neighbours alone
-    reach `limit`, no capacities are copied."""
+    stopped at `limit`; `closed[v]` is v's sorted closed neighbourhood.
+    Nodes are in(v) = 2v and out(v) = 2v + 1. Residual arcs: out(v) ->
+    in(w) for every w in N(v), out(v) -> in(v) while v carries a path, and
+    from in(v) the one arc to out(into[v]), or to out(v) if v is free. Each
+    augmenting path comes from a BFS out of out(s) with ties toward lower
+    nodes. A search that misses in(t) has reached exactly the source side
+    of a minimum cut, so the flow ends there and `cut` holds the vertices
+    whose in-node but not out-node it reached. A flow stopped at `limit`
+    has cut None, also when the common neighbours alone reach `limit`."""
     common = G.adjacency[s] & G.adjacency[t]
     if len(common) >= limit:
         return limit, None
-    cap = dict(network[0])
+    into = dict.fromkeys(common, s)
     src, snk = 2 * s + 1, 2 * t
-    for w in common:
-        for arc in ((src, 2 * w), (2 * w, 2 * w + 1), (2 * w + 1, snk)):
-            cap[arc] -= 1
-            cap[arc[::-1]] += 1
     value = len(common)
     while value < limit:
         parent = {src: None}
@@ -75,18 +58,32 @@ def _max_flow(G, network, s, t, limit):
         for x in queue:
             if x == snk:
                 break
-            for y in network[1][x]:
-                if y not in parent and cap[(x, y)] > 0:
+            v = x >> 1
+            if x & 1:
+                for w in closed[v]:
+                    y = 2 * w
+                    if y not in parent and (w != v or v in into):
+                        parent[y] = x
+                        queue.append(y)
+            else:
+                y = 2 * into[v] + 1 if v in into else x + 1
+                if y not in parent:
                     parent[y] = x
                     queue.append(y)
         if snk not in parent:
             cut = frozenset(x // 2 for x in parent if x % 2 == 0 and x + 1 not in parent)
             return value, cut
+        # walking back, an edge arc u -> w gives w the predecessor u and a
+        # reverse arc out of in(w) takes it away; internal arcs need nothing
         y = snk
-        while parent[y] is not None:
+        while y != src:
             x = parent[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
+            if x >> 1 != y >> 1:
+                if x & 1:
+                    if y != snk:
+                        into[y >> 1] = x >> 1
+                else:
+                    del into[x >> 1]
             y = x
         value += 1
     return value, None
@@ -107,14 +104,14 @@ def vertex_connectivity(G):
         return CutReport(0, frozenset())
     adj = G.adjacency
     v0 = min(range(G.n), key=lambda v: (len(adj[v]), v))
-    network = _split_network(G)
+    closed = [sorted(a | {v}) for v, a in enumerate(adj)]
     best = G.n
     witness = None
-    for u in sorted(adj[v0] | {v0}):
+    for u in closed[v0]:
         for t in range(G.n):
             if t == u or t in adj[u]:
                 continue
-            value, cut = _max_flow(G, network, u, t, best)
+            value, cut = _max_flow(G, closed, u, t, best)
             if value < best:
                 best, witness = value, cut
     return CutReport(best, witness)
@@ -127,7 +124,4 @@ def cut_components(G, cut):
         G.neighbors(v)
     if len(cut) >= G.n:
         raise ValueError("cut must be a proper subset of the vertices")
-    rest = [v for v in range(G.n) if v not in cut]
-    # rest ascends, so the components come by smallest member, as in G - cut
-    comps = connected_components(induced_subgraph(G, rest))
-    return CutComponents(cut, tuple(frozenset(rest[i] for i in c) | cut for c in comps))
+    return CutComponents(cut, tuple(c | cut for c in connected_components(G, cut)))

@@ -167,9 +167,11 @@ class Graph:
         return cls(n, edges)
 
 
-def connected_components(G):
-    """Components as frozensets, sorted by smallest member."""
+def connected_components(G, removed=frozenset()):
+    """Components of G - removed as frozensets, sorted by smallest member."""
     seen = [False] * G.n
+    for v in removed:
+        seen[v] = True
     comps = []
     adj = G.adjacency
     for start in range(G.n):
@@ -181,7 +183,7 @@ def connected_components(G):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in sorted(adj[v]):
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from ncomplex.chordal import clique_number, simplicial_vertices
 from ncomplex.complexes import SimplicialComplex
-from ncomplex.connectivity import CutReport, _split_network, vertex_connectivity
+from ncomplex.connectivity import CutReport, vertex_connectivity
 from ncomplex.graph import Graph, induced_subgraph, is_connected
 from ncomplex.homology import ConnectivityBound, reduced_homology
 from ncomplex.snf import SmithForm, _classical_invariant_factors
@@ -215,6 +215,24 @@ def per_pair_vertex_connectivity(G):
                 witness = frozenset(v for v in range(G.n) if v not in (u, t)
                                     and 2 * v in reach and 2 * v + 1 not in reach)
     return CutReport(best, witness)
+
+
+def _split_network(G):
+    """Capacities of the split digraph, with every reverse arc at zero, and
+    the sorted residual neighbours of each node; in(v) = 2v, out(v) = 2v + 1."""
+    big = G.n + 1
+    cap = {}
+    adjacency = []
+    for v in range(G.n):
+        cap[(2 * v, 2 * v + 1)] = 1
+        cap[(2 * v + 1, 2 * v)] = 0
+        for w in G.adjacency[v]:
+            cap[(2 * v + 1, 2 * w)] = big
+            cap[(2 * w, 2 * v + 1)] = 0
+        closed = sorted(G.adjacency[v] | {v})
+        adjacency.append([2 * w + 1 for w in closed])
+        adjacency.append([2 * w for w in closed])
+    return cap, adjacency
 
 
 def _augment(cap, adjacency, src, snk):

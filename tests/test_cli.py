@@ -19,6 +19,7 @@ from ncomplex.graph import (
     queen_graph,
     random_chordal_graph,
 )
+from ncomplex.verify import random_chordal_corpus, random_graphs
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +382,10 @@ REPORT_VERIFIER_STDOUT = {
 # the README documents
 QUEEN_GRID_STDOUT = "3eae37c9c5f57747ac08fb974577e4c30f8fcf7d609c6d981891652270da4622"
 
+# the same for `ncomplex analyze` on each graph of a seeded corpus in turn,
+# the outputs joined; recorded while the flows still copied a capacity map
+ANALYZE_STDOUT = "78733f77110449d266e8fdda5a6458ec3c224a6747ede4eb1c1925a14d5c3838"
+
 
 def verifier_stdout_sha256(capsys, which):
     code, out, _ = run_cli(capsys, "verify", which, "--seed", "1", "--count", "100")
@@ -402,3 +407,19 @@ def test_queen_grid_stdout_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify", "table1", "--format", "table")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == QUEEN_GRID_STDOUT
+
+
+def test_analyze_stdout_is_pinned(capsys, tmp_path):
+    corpus = [g for _, g in random_graphs(60, 16, 1, connected=True)]
+    corpus += [g for _, g in random_chordal_corpus(40, 1)]
+    corpus += [gen(m, n) for gen in (queen_graph, king_graph)
+               for m in range(2, 6) for n in range(m, 6)]
+    corpus += [mycielskian(cycle_graph(k)) for k in range(3, 10)]
+    outs = []
+    for i, g in enumerate(corpus):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(g.to_json())
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == ANALYZE_STDOUT

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from ncomplex.connectivity import (
     CutReport,
     _max_flow,
-    _split_network,
     cut_components,
     vertex_connectivity,
 )
@@ -36,10 +35,14 @@ from conftest import (
 )
 
 
+def closed_neighbourhoods(G):
+    return [sorted(a | {v}) for v, a in enumerate(G.adjacency)]
+
+
 def flow_value(G, s, t):
     """Size of a maximum family of internally disjoint paths between
     non-adjacent s and t, from the library's uncapped flow."""
-    return _max_flow(G, _split_network(G), s, t, G.n)[0]
+    return _max_flow(G, closed_neighbourhoods(G), s, t, G.n)[0]
 
 
 class TestVertexConnectivity:
@@ -141,8 +144,17 @@ class TestDisjointPaths:
         # K_{2,5} at its hubs: five paths, all routed before any search
         g = Graph(7, [(h, leaf) for h in (0, 1) for leaf in range(2, 7)])
         assert flow_value(g, 0, 1) == 5
-        assert _max_flow(g, _split_network(g), 0, 1, 3) == (3, None)
+        assert _max_flow(g, closed_neighbourhoods(g), 0, 1, 3) == (3, None)
         assert vertex_connectivity(g) == per_pair_vertex_connectivity(g)
+
+    def test_path_turns_back_through_a_used_vertex(self):
+        # the first path 4-1-3-8-7 blocks the flow; the second enters in(8),
+        # cancels 3 -> 8, turns back through vertex 3 and cancels 1 -> 3,
+        # which leaves the paths 4-2-0-8-7 and 4-1-6-5-7
+        g = Graph(9, [(0, 2), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 8),
+                      (5, 6), (5, 7), (7, 8)])
+        assert flow_value(g, 4, 7) == brute_force_min_separator(g, 4, 7) == 2
+        assert _max_flow(g, closed_neighbourhoods(g), 4, 7, g.n) == (2, frozenset({1, 2}))
 
     def test_cycle_opposite(self):
         assert flow_value(cycle_graph(4), 0, 2) == 2
