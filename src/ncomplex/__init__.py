@@ -22,7 +22,7 @@ from .chordal import (
     maximal_cliques,
     simplicial_vertices,
 )
-from .folds import FoldTrace, find_fold, fold_reduction, folds_onto_clique, is_stiff
+from .folds import FoldTrace, fold_reduction, folds_onto_clique
 from .complexes import (
     SimplicialComplex,
     certify_connectivity,

@@ -116,10 +116,10 @@ def is_weakly_triangulated(G):
     """No induced cycle of length >= 5 and no induced complement of one.
 
     A False answer carries the offending cycle in order, of G or of the
-    complement of G.
+    complement of G, which is built only when G has no such cycle.
     """
-    for kind, H in (("cycle", G), ("complement-of-cycle", complement(G))):
-        hole = _find_hole(H, 5)
+    for kind, graph in (("cycle", lambda: G), ("complement-of-cycle", lambda: complement(G))):
+        hole = _find_hole(graph(), 5)
         if hole is not None:
             return WeakTriangulationResult(False, kind, hole)
     return WeakTriangulationResult(True)
@@ -129,10 +129,7 @@ def cut_apex_property(G, cut):
     """True when every component of G - cut has a vertex adjacent to all of cut."""
     cut = frozenset(cut)
     parts = _connectivity.cut_components(G, cut)
-    if len(parts.components) < 2:
+    if len(parts) < 2:
         raise ValueError("given set is not a vertex cut")
     adj = G.adjacency
-    for comp in parts.components:
-        if not any(cut <= adj[v] for v in comp - cut):
-            return False
-    return True
+    return all(any(cut <= adj[v] for v in comp - cut) for comp in parts)

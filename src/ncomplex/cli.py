@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .chordal import clique_number, is_chordal, is_weakly_triangulated
@@ -18,6 +17,7 @@ from .errors import CapExceededError
 from .folds import fold_reduction
 from .graph import (
     Graph,
+    canonical_json,
     chromatic_number,
     complete_graph,
     cycle_graph,
@@ -95,7 +95,7 @@ def _cmd_analyze(args):
         summary["chromatic_number"] = chromatic_number(G)
     except CapExceededError:
         summary["chromatic_number"] = "skipped(cap)"
-    _emit(json.dumps(summary, sort_keys=True, separators=(",", ":")), args.output)
+    _emit(canonical_json(summary), args.output)
     return 0
 
 
@@ -132,7 +132,7 @@ def _cmd_verify(args):
             payload = reports[0].to_dict()
         else:
             payload = [r.to_dict() for r in reports]
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")), args.output)
+        _emit(canonical_json(payload), args.output)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -203,7 +203,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, json.JSONDecodeError, CapExceededError) as exc:
+    except (OSError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .graph import json_field, json_int, json_list
+from .graph import canonical_json, json_field, json_int, json_list
 
 
 class SimplicialComplex:
@@ -93,7 +93,7 @@ class SimplicialComplex:
 
     def to_json(self):
         facets = sorted(sorted(f) for f in self.facets)
-        return json.dumps({"facets": facets}, sort_keys=True, separators=(",", ":"))
+        return canonical_json({"facets": facets})
 
     @classmethod
     def from_json(cls, text):

@@ -29,12 +29,6 @@ class CutReport:
     witness_cut: frozenset | None
 
 
-@dataclass(frozen=True)
-class CutComponents:
-    cut: frozenset
-    components: tuple
-
-
 def _max_flow(G, closed, s, t, limit):
     """(value, cut) of a flow from s to t, which must not be adjacent,
     stopped at `limit`; `closed[v]` is v's sorted closed neighbourhood.
@@ -118,10 +112,10 @@ def vertex_connectivity(G):
 
 
 def cut_components(G, cut):
-    """Components of G - cut, each extended by the cut itself."""
+    """The tuple of components of G - cut, each extended by the cut itself."""
     cut = frozenset(cut)
     for v in cut:
         G.neighbors(v)
     if len(cut) >= G.n:
         raise ValueError("cut must be a proper subset of the vertices")
-    return CutComponents(cut, tuple(c | cut for c in connected_components(G, cut)))
+    return tuple(c | cut for c in connected_components(G, cut))

@@ -20,43 +20,27 @@ from .graph import Graph, induced_subgraph
 class FoldTrace:
     steps: tuple          # (removed, dominator) pairs, original vertex ids
     result: Graph         # re-indexed stiff residual
-    result_vertices: tuple  # original ids of the residual, ascending
-
-
-def _find_fold_in(adj, order):
-    for u in order:
-        nu = adj[u]
-        for v in order:
-            if v != u and nu <= adj[v]:
-                return (u, v)
-    return None
-
-
-def find_fold(G):
-    """Lexicographically smallest (u, v) with N(u) a subset of N(v), or None."""
-    return _find_fold_in(G.adjacency, range(G.n))
-
-
-def is_stiff(G):
-    return find_fold(G) is None
 
 
 def fold_reduction(G):
-    """Fold greedily until stiff, always taking the smallest fold pair."""
+    """Fold greedily until stiff, always taking the lexicographically
+    smallest pair (u, v), u != v, with N(u) a subset of N(v)."""
     adj = {v: set(nbrs) for v, nbrs in enumerate(G.adjacency)}
-    alive = list(range(G.n))
     steps = []
-    while True:
-        pair = _find_fold_in(adj, alive)
-        if pair is None:
-            break
-        u, v = pair
-        steps.append((u, v))
-        for w in adj[u]:
+
+    def smallest_fold():
+        for u, nu in adj.items():
+            for v in adj:
+                if v != u and nu <= adj[v]:
+                    return u, v
+        return None
+
+    while pair := smallest_fold():
+        steps.append(pair)
+        u = pair[0]
+        for w in adj.pop(u):
             adj[w].discard(u)
-        del adj[u]
-        alive.remove(u)
-    return FoldTrace(tuple(steps), induced_subgraph(G, alive), tuple(alive))
+    return FoldTrace(tuple(steps), induced_subgraph(G, adj.keys()))
 
 
 def folds_onto_clique(G, p):

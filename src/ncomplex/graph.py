@@ -14,6 +14,11 @@ from itertools import combinations
 from .errors import CapExceededError
 
 
+def canonical_json(obj):
+    """JSON text with sorted keys and no spaces: equal values give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def json_field(obj, name, parse):
     """parse(obj[name]), or a ValueError naming the field and the cause."""
     if not isinstance(obj, dict) or name not in obj:
@@ -127,7 +132,7 @@ class Graph:
         obj = {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
         if self.labels:
             obj["labels"] = {str(v): self.labels[v] for v in sorted(self.labels)}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return canonical_json(obj)
 
     @classmethod
     def from_json(cls, text):

@@ -50,7 +50,6 @@ and 24):
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, count, islice
@@ -59,6 +58,7 @@ from operator import and_
 
 from .complexes import SimplicialComplex
 from .errors import CapExceededError
+from .graph import canonical_json
 from .snf import rank_over_rationals, smith_normal_form
 
 
@@ -108,7 +108,7 @@ class HomologyReport:
             ],
             "max_dim": self.max_dim,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return canonical_json(obj)
 
 
 def boundary_matrix(X, k, cleared=frozenset()):

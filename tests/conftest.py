@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's algorithms: chromatic
 numbers come from plain backtracking over color assignments, connectivity
 and minimum cuts from exhaustive subset removal, Smith forms from gcds of
 minors, faces of a neighborhood complex from common neighborhoods and
-nerves, whether a graph folds onto a clique from every fold sequence, and
-extension-chain certificates from rebuilt subgraphs and every neighbor
+nerves, whether a graph folds onto a clique from every fold sequence,
+stiffness from every ordered pair of vertices, and extension-chain certificates from rebuilt subgraphs and every neighbor
 subset. The chordal certificate order has a reference that tries each
 simplicial removal on a rebuilt subgraph against the clique number and a
 vertex-connectivity floor. Ranks over GF(p) come from plain Gaussian
@@ -17,9 +17,9 @@ cut and leave it to a second search of the residual network. The Smith
 route's unit-pivot phase and its boundary matrices have references in
 their first, plainer form, which fix the pivot order and the signs the
 faster library code must reproduce. Tests pit the
-real implementations against these. The suspension of a complex, which
-the library does not need, is built here too, for tests of the homology
-shift.
+real implementations against these. The suspension and the join of
+complexes, which the library does not need, are built here too, for tests
+of the homology shift and of torsion.
 """
 from __future__ import annotations
 
@@ -539,6 +539,12 @@ def reference_folds_onto_clique(G, p):
     return search(frozenset(range(G.n)))
 
 
+def brute_force_stiff(G):
+    """No u != v with N(u) a subset of N(v), by checking every ordered pair."""
+    adj = G.adjacency
+    return not any(adj[u] <= adj[v] for u, v in permutations(range(G.n), 2))
+
+
 def brute_force_isomorphic(G, H):
     """Is some vertex permutation an isomorphism? By permutation scan (tiny graphs)."""
     if G.n != H.n or len(G.edges) != len(H.edges):
@@ -625,6 +631,13 @@ def suspension(X):
     a, b = top + 1, top + 2
     facets = [f | {a} for f in X.facets] + [f | {b} for f in X.facets]
     return SimplicialComplex(facets)
+
+
+def join(X, Y):
+    """X * Y on disjoint vertex sets, Y's shifted past X's: its facets are
+    the unions of a facet of each."""
+    shift = max(X.vertices, default=-1) + 1
+    return SimplicialComplex([f | {v + shift for v in g} for f in X.facets for g in Y.facets])
 
 
 def groups_of(X, max_dim, method="smith"):

@@ -7,7 +7,7 @@ import time
 from ncomplex.complexes import certify_connectivity, neighborhood_complex
 from ncomplex.connectivity import vertex_connectivity
 from ncomplex.chordal import is_chordal
-from ncomplex.folds import fold_reduction, is_stiff
+from ncomplex.folds import fold_reduction
 from ncomplex.graph import (
     complete_graph,
     cycle_graph,
@@ -27,6 +27,7 @@ from ncomplex.verify import (
 
 from conftest import (
     brute_force_kappa,
+    brute_force_stiff,
     groups_of,
     naive_chordal,
     reversed_labels,
@@ -108,7 +109,7 @@ def test_acceptance_fold_invariance():
         b = groups_of(neighborhood_complex(high.result), 4)
         if not (base == a == b):
             failures.append((i, base, a, b))
-        if not (is_stiff(low.result) and is_stiff(high.result)):
+        if not (brute_force_stiff(low.result) and brute_force_stiff(high.result)):
             failures.append((i, "residual not stiff"))
     report_line("fold-invariance", not failures, "(100 graphs)")
     assert not failures, failures[:3]

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from ncomplex import chordal
 from ncomplex.chordal import (
     cut_apex_property,
     is_chordal,
@@ -21,6 +22,7 @@ from ncomplex.graph import (
     queen_graph,
     random_chordal_graph,
 )
+from ncomplex.verify import random_chordal_corpus
 
 from conftest import (
     brute_force_maximal_cliques,
@@ -138,9 +140,22 @@ class TestWeakTriangulation:
         assert not res.holds and res.witness_kind == "complement-of-cycle"
 
     def test_chordal_implies_weakly_triangulated(self):
-        for seed in range(1, 15):
-            g, _ = random_chordal_graph(3, (3, 4), 1, seed=seed)
-            assert is_weakly_triangulated(g).holds
+        # Hayward 1985, also on graphs past the exhaustive scan's reach (up
+        # to 23 vertices): it cross-checks the length-4 and length-5 searches
+        corpus = [random_chordal_graph(3, (3, 4), 1, seed=s)[0] for s in range(1, 15)]
+        corpus += [g for _, g in random_chordal_corpus(200, 1)]
+        corpus += [random_chordal_graph(3, (4, 5), 2, seed=s)[0] for s in range(1, 61)]
+        for g in corpus:
+            assert is_chordal(g).chordal and is_weakly_triangulated(g).holds
+
+    def test_complement_built_only_without_a_long_hole(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("complement built though G has a long hole")
+
+        monkeypatch.setattr(chordal, "complement", refuse)
+        res = is_weakly_triangulated(cycle_graph(7))
+        assert not res.holds and res.witness_kind == "cycle"
+        assert_induced_cycle(cycle_graph(7), res.witness)
 
     def test_cap(self):
         # no vertex cap: long holes are found, large chordal graphs pass

@@ -208,15 +208,16 @@ class TestMinCuts:
 class TestCutComponents:
     def test_cycle(self):
         parts = cut_components(cycle_graph(4), {0, 2})
-        assert sorted(sorted(c) for c in parts.components) == [[0, 1, 2], [0, 2, 3]]
+        assert type(parts) is tuple
+        assert sorted(sorted(c) for c in parts) == [[0, 1, 2], [0, 2, 3]]
 
     def test_whole_graph_connected(self):
         parts = cut_components(cycle_graph(5), frozenset())
-        assert len(parts.components) == 1
+        assert len(parts) == 1
 
     def test_counterexample_split(self):
         parts = cut_components(counterexample_graph(), {1})
-        assert sorted(sorted(c) for c in parts.components) == [
+        assert sorted(sorted(c) for c in parts) == [
             [0, 1, 2, 3], [1, 4, 5, 6, 7, 8, 9, 10, 11]]
 
     def test_components_pairwise_meet_in_cut(self):
@@ -226,9 +227,9 @@ class TestCutComponents:
                 continue
             parts = cut_components(g, rep.witness_cut)
             union = set()
-            for a, b in combinations(parts.components, 2):
-                assert a & b == parts.cut
-            for c in parts.components:
+            for a, b in combinations(parts, 2):
+                assert a & b == rep.witness_cut
+            for c in parts:
                 union |= c
             assert union == set(range(g.n))
 

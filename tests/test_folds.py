@@ -2,18 +2,14 @@ import pytest
 from hypothesis import given, settings
 
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.folds import (
-    find_fold,
-    fold_reduction,
-    folds_onto_clique,
-    is_stiff,
-)
-from ncomplex.graph import Graph, complete_graph, cycle_graph, path_graph
+from ncomplex.folds import fold_reduction, folds_onto_clique
+from ncomplex.graph import Graph, complete_graph, cycle_graph, induced_subgraph, path_graph
 from ncomplex.homology import reduced_homology
 from ncomplex.verify import counterexample_graph
 
 from conftest import (
     brute_force_isomorphic,
+    brute_force_stiff,
     graphs,
     reference_folds_onto_clique,
     reversed_labels,
@@ -21,28 +17,37 @@ from conftest import (
 )
 
 
+def _survivors(g, trace):
+    """Vertices of g that no step of `trace` removes, ascending."""
+    removed = {u for u, _ in trace.steps}
+    return tuple(v for v in range(g.n) if v not in removed)
+
+
 class TestFindFold:
+    """The first fold pair of the greedy reduction: the lexicographically
+    smallest (u, v) with N(u) a subset of N(v)."""
+
     def test_square(self):
-        assert find_fold(cycle_graph(4)) == (0, 2)
+        assert fold_reduction(cycle_graph(4)).steps[0] == (0, 2)
 
     def test_five_cycle_stiff(self):
-        assert find_fold(cycle_graph(5)) is None
+        assert fold_reduction(cycle_graph(5)).steps == ()
 
     def test_path(self):
-        assert find_fold(path_graph(3)) == (0, 2)
+        assert fold_reduction(path_graph(3)).steps[0] == (0, 2)
 
     def test_isolated_vertex_folds_away(self):
         g = Graph(4, [(1, 2), (2, 3), (1, 3)])
-        assert find_fold(g) == (0, 1)
+        assert fold_reduction(g).steps[0] == (0, 1)
 
     @given(graphs(min_n=1, max_n=7))
     @settings(max_examples=60)
     def test_returned_pair_dominates(self, g):
-        pair = find_fold(g)
-        if pair is None:
-            assert is_stiff(g)
+        steps = fold_reduction(g).steps
+        if not steps:
+            assert brute_force_stiff(g)
         else:
-            u, v = pair
+            u, v = steps[0]
             assert u != v
             assert g.adjacency[u] <= g.adjacency[v]
 
@@ -59,18 +64,15 @@ class TestFoldReduction:
             assert trace.steps == ()
 
     def test_counterexample_fixture_status_recorded(self):
-        # exhaustive domination scan on the fixture
         g = counterexample_graph()
-        expected = all(
-            not (g.adjacency[u] <= g.adjacency[v])
-            for u in range(g.n) for v in range(g.n) if u != v)
-        assert is_stiff(g) == expected
+        assert (fold_reduction(g).steps == ()) == brute_force_stiff(g)
 
     @given(graphs(min_n=1, max_n=8))
     @settings(max_examples=50)
     def test_idempotent_and_counts(self, g):
         trace = fold_reduction(g)
         assert trace.result.n + len(trace.steps) == g.n
+        assert brute_force_stiff(trace.result)
         again = fold_reduction(trace.result)
         assert again.steps == ()
 
@@ -126,7 +128,7 @@ class TestFoldsOntoClique:
     def test_unknown_above_cap(self):
         # the decision has no vertex cap
         g = cycle_graph(13)
-        assert is_stiff(g)
+        assert brute_force_stiff(g)
         assert folds_onto_clique(g, 2) is None
 
     def test_target_larger_than_graph(self):
@@ -134,7 +136,7 @@ class TestFoldsOntoClique:
 
     def test_stiff_hexagon_cannot_fold_at_all(self):
         g = cycle_graph(6)
-        assert is_stiff(g)
+        assert brute_force_stiff(g)
         assert folds_onto_clique(g, 3) is None
         assert folds_onto_clique(g, 2) is None
 
@@ -143,7 +145,7 @@ class TestFoldsOntoClique:
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 0), (4, 0)])
         trace = folds_onto_clique(g, 3)
         assert trace is not None
-        assert set(trace.result_vertices) == {0, 1, 2}
+        assert _survivors(g, trace) == (0, 1, 2)
 
     def test_trace_is_a_valid_fold_sequence(self):
         # K3 with a vertex seeing 0 and 1, and a pendant on that vertex
@@ -151,14 +153,14 @@ class TestFoldsOntoClique:
         trace = folds_onto_clique(g, 3)
         assert trace is not None and len(trace.steps) == 2
         adj = _replay(g, trace.steps)
-        assert sorted(adj) == list(trace.result_vertices)
+        assert trace.result == induced_subgraph(g, adj)
         assert all(len(adj[v]) == 2 for v in adj)
 
     def test_sixteen_vertices_of_pendants_on_a_clique(self):
         g = Graph(16, [(u, v) for u in range(4) for v in range(u + 1, 4)]
                   + [(0, w) for w in range(4, 16)])
         trace = folds_onto_clique(g, 4)
-        assert trace is not None and trace.result_vertices == (0, 1, 2, 3)
+        assert trace is not None and _survivors(g, trace) == (0, 1, 2, 3)
         assert folds_onto_clique(g, 3) is None
         assert folds_onto_clique(g, 5) is None
 
@@ -177,4 +179,4 @@ class TestFoldsOntoClique:
                 adj = _replay(g, trace.steps)
                 assert len(adj) == p
                 assert all(len(nbrs) == p - 1 for nbrs in adj.values())
-                assert tuple(sorted(adj)) == trace.result_vertices
+                assert trace.result == induced_subgraph(g, adj)

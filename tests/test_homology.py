@@ -25,6 +25,7 @@ from conftest import (
     graphs,
     groups_of,
     homological_connectivity,
+    join,
     rank_mod_p,
     reference_boundary_entries,
     seeded_graphs,
@@ -523,9 +524,16 @@ class TestTorsionModP:
          [(1, ()), (0, (2, 2)), (0, ()), (0, ()), (0, ())]),
         (neighborhood_complex(mycielskian(incidence_graph(PROJECTIVE_PLANE))), 2,
          [(0, ()), (1, ()), (0, (2, 2))]),
+        (suspension(PROJECTIVE_PLANE), 3, [(0, ()), (0, ()), (0, (2,)), (0, ())]),
+        (suspension(suspension(PROJECTIVE_PLANE)), 4,
+         [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, ())]),
+        # Kunneth for joins: Z/2 (x) Z/2 in degree 1 + 1 + 1, Tor(Z/2, Z/2) one higher
+        (join(PROJECTIVE_PLANE, PROJECTIVE_PLANE), 5,
+         [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, (2,)), (0, ())]),
     ]
 
-    @pytest.mark.parametrize("X, top, expected", TORSION, ids=["incidence", "mycielskian"])
+    @pytest.mark.parametrize("X, top, expected", TORSION, ids=[
+        "incidence", "mycielskian", "suspension", "double-suspension", "join"])
     def test_torsion_complexes(self, X, top, expected):
         report = reduced_homology(X, top)
         assert [(g.betti, g.torsion) for g in report.groups] == expected
