@@ -117,7 +117,7 @@ class VerificationReport:
 
     def add_failure(self, graph, expected, observed):
         record = {
-            "graph": json.loads(graph.to_json()) if graph is not None else None,
+            "graph": json.loads(graph.to_json()),
             "expected": expected,
             "observed": observed,
         }
@@ -321,18 +321,19 @@ def verify_mycielskian_shift(count=20, seed=1):
     return report
 
 
-def _chordal_complex_connectivity(G):
-    """Exact connectivity of N(G) for chordal G: predicted from the stiff
-    residual, then confirmed homologically. Returns (value, confirmed)."""
-    residual = fold_reduction(G).result
+def _stiff_connectivity(residual):
+    """(predicted, bound) for the stiff residual R of a chordal graph:
+    conn N(R) is R.n - 3 when R is complete and kappa(R) - 1 otherwise, and
+    the scan confirms it when bound == ConnectivityBound(predicted, True).
+    Folds keep the homotopy type, so this is also conn N(G)."""
     if residual.is_complete():
         predicted = residual.n - 3
     else:
         predicted = vertex_connectivity(residual).kappa - 1
     # a single-vertex residual predicts -2: the complex is just the empty
     # face, and the scan needs no degree at all to see it
-    bound = connectivity_of_complex(neighborhood_complex(G), max(predicted + 1, 0))
-    return predicted, bound.exact and bound.value == predicted
+    cap = max(predicted + 1, 0)
+    return predicted, connectivity_of_complex(neighborhood_complex(residual), cap)
 
 
 def verify_lovasz_bound(count=100, seed=1):
@@ -344,8 +345,8 @@ def verify_lovasz_bound(count=100, seed=1):
     for kind, item in instances:
         if kind == "chordal":
             G = item
-            conn, confirmed = _chordal_complex_connectivity(G)
-            if not confirmed:
+            conn, bound = _stiff_connectivity(fold_reduction(G).result)
+            if bound != ConnectivityBound(conn, True):
                 report.add_failure(
                     G, {"confirmed_connectivity": True},
                     {"note": "homology disagrees with wedge prediction",
@@ -380,18 +381,11 @@ def verify_stiff_chordal(count=100, seed=1):
         if residual.is_complete():
             report.skip(f"seed {s}", "residual is complete")
             continue
-        chord = is_chordal(residual)
-        if not chord.chordal:
-            report.add_failure(residual, {"chordal": True},
-                               {"chordal": False, "hole": list(chord.hole)})
-            continue
-        kappa = vertex_connectivity(residual).kappa
-        bound = connectivity_of_complex(neighborhood_complex(residual), kappa)
+        predicted, bound = _stiff_connectivity(residual)
         report.instances_checked += 1
-        if not (bound.exact and bound.value == kappa - 1):
-            report.add_failure(residual,
-                               {"connectivity": kappa - 1},
-                               {"connectivity": bound.describe(), "kappa": kappa})
+        if bound != ConnectivityBound(predicted, True):
+            report.add_failure(residual, {"connectivity": predicted},
+                               {"connectivity": bound.describe(), "kappa": predicted + 1})
     return report
 
 
@@ -516,7 +510,7 @@ def verify_cut_bounds(instances=None):
         # anticonnected minimal cut must see an apex in every component
         if shared and not union_certified:
             wt = is_weakly_triangulated(G)
-            co_connected = is_connected(induced_subgraph(complement(G), sorted(shared)))
+            co_connected = is_connected(complement(induced_subgraph(G, sorted(shared))))
             if wt.holds and co_connected:
                 kappa_report = vertex_connectivity(G)
                 if kappa_report.kappa == n and not cut_apex_property(G, shared):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -8,16 +9,19 @@ from ncomplex.chordal import simplicial_vertices
 from ncomplex.connectivity import vertex_connectivity
 from ncomplex.graph import Graph, complete_graph, induced_subgraph, random_chordal_graph
 from ncomplex.complexes import neighborhood_complex
-from ncomplex.homology import ConnectivityBound, reduced_homology
+from ncomplex.folds import fold_reduction
+from ncomplex.homology import ConnectivityBound, connectivity_of_complex, reduced_homology
 from ncomplex.verify import (
     QUEEN_HOMOLOGY_TABLE,
     VerificationReport,
+    _stiff_connectivity,
     board_removal_order,
     chordal_shelling_order,
     counterexample_graph,
     default_cut_bound_instances,
     group_data,
     overlay_graphs,
+    random_chordal_corpus,
     run_verifier,
     verify_board_simple_connectivity,
     verify_chordal_fold_connectivity,
@@ -254,6 +258,70 @@ class TestVerifiers:
         report = run_verifier("table1")
         assert report.theorem_id == "queen-table"
         assert report.instances_checked == len(cells)
+
+
+def _predicted(residual):
+    """Reference prediction for a stiff chordal residual."""
+    if residual.is_complete():
+        return residual.n - 3
+    return vertex_connectivity(residual).kappa - 1
+
+
+class TestStiffConnectivity:
+    @pytest.mark.parametrize("G, predicted", [
+        (Graph(1), -2), (complete_graph(2), -1), (complete_graph(4), 1)])
+    def test_complete_residuals(self, G, predicted):
+        # N(K1) is just the empty face: H~_-1 = Z, so conn is -2
+        assert _stiff_connectivity(G) == (predicted, ConnectivityBound(predicted, True))
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_scan_of_the_residual_matches_the_scan_of_g(self, seed):
+        # folds keep the homotopy type of N(G), so the residual's scan stands in
+        for _, G in random_chordal_corpus(100, seed):
+            predicted, bound = _stiff_connectivity(fold_reduction(G).result)
+            cap = max(predicted + 1, 0)
+            assert connectivity_of_complex(neighborhood_complex(G), cap) == bound
+
+
+class TestStiffFailureRecords:
+    """An "at least cap" scan fails every chordal instance. The passing
+    stdout pins never reach these records, so their shape and bytes are
+    pinned here."""
+
+    @pytest.fixture(autouse=True)
+    def inexact_scan(self, monkeypatch):
+        import ncomplex.verify
+        monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
+                            lambda X, dim_cap: ConnectivityBound(dim_cap, False))
+
+    def test_chordal_main(self):
+        expected = []
+        for _, g in random_chordal_corpus(12, 3):
+            residual = fold_reduction(g).result
+            if residual.is_complete():
+                continue
+            kappa = _predicted(residual) + 1
+            expected.append({"graph": json.loads(residual.to_json()),
+                             "expected": {"connectivity": kappa - 1},
+                             "observed": {"connectivity": f"at least {kappa}", "kappa": kappa}})
+        report = verify_stiff_chordal(12, 3)
+        assert report.instances_checked == len(expected) == 10
+        assert report.failures == expected
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "fb83463491f7ee85e8202d0522604fe46df5661d9ffd110b689ffea5f661c71c")
+
+    def test_lovasz_bound(self):
+        expected = [{"graph": json.loads(g.to_json()),
+                     "expected": {"confirmed_connectivity": True},
+                     "observed": {"note": "homology disagrees with wedge prediction",
+                                  "predicted": _predicted(fold_reduction(g).result)}}
+                    for _, g in random_chordal_corpus(12, 3)]
+        report = verify_lovasz_bound(12, 3)
+        assert report.instances_checked == 0
+        assert report.failures == expected
+        assert [s["reason"] for s in report.skipped] == ["connectivity beyond scan cap"] * 3
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "92da5d7e4996ac110fce94b121b8c33a39fecd7b2cdd443160e71bbf7cea1f9e")
 
 
 class TestReports:
