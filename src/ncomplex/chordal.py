@@ -6,7 +6,9 @@ complement; Hayward 1985). It joins the ends of each induced path on three
 or four vertices by a shortest path that avoids the closed neighborhoods of
 the path's interior, so it takes polynomial time and needs no vertex cap.
 The search is complete, so a graph is chordal exactly when it finds no
-hole, and a False answer carries the hole it found.
+hole, and a False answer carries the hole it found. Chordal graphs are
+weakly triangulated: a long hole is a hole, the complement of C5 is C5, and
+that of Ck, k >= 6, has the induced C4 0-3-1-4.
 """
 from __future__ import annotations
 

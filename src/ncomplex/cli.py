@@ -89,7 +89,7 @@ def _cmd_analyze(args):
         "stiff": not trace.steps,
         "fold_steps": len(trace.steps),
         "max_clique_size": clique_number(G),
-        "weakly_triangulated": is_weakly_triangulated(G).holds,
+        "weakly_triangulated": chord.chordal or is_weakly_triangulated(G).holds,
     }
     try:
         summary["chromatic_number"] = chromatic_number(G)

@@ -1,18 +1,21 @@
 """Vertex connectivity with a witness cut, and the components of a cut.
 
 Connectivity follows the flow scheme of Even (1975) and Esfahanian & Hakimi
-(1984): kappa is the least s-t vertex flow over sources s in the closed
-neighbourhood of a minimum-degree vertex and sinks t not adjacent to s. The
-flows run on the vertex-split digraph, where vertex v becomes an arc
-in(v) -> out(v) of capacity one and each edge a pair of arcs out -> in of
-capacity n + 1. An edge arc never carries more than one unit, so the
-residual network is read off G's own adjacency and one predecessor per
-vertex: `into[w] = u` while a path runs u -> w, for w other than t. Every
-common neighbour w of s and t carries its own path s -> w -> t before any
-search, since some maximum flow uses all of them; augmentation then breaks
-ties toward lower vertex indices and stops once the flow reaches the best
-value so far. Only a strictly smaller flow, which is then a maximum flow,
-gives a new witness: its cut, the vertices whose in-node but not out-node
+(1984): for a minimum-degree vertex v0, kappa is the least s-t vertex flow
+over the pairs (v0, t) with t outside N[v0] and the non-adjacent pairs
+inside N(v0), about n + delta^2 flows. A minimum cut that misses v0
+separates it from some such t; one that holds v0 separates two of its
+neighbours. The flows run on the vertex-split digraph, where vertex v
+becomes an arc in(v) -> out(v) of capacity one and each edge a pair of arcs
+out -> in of capacity n + 1. An edge arc never carries more than one unit,
+so the residual network is read off G's own adjacency and one predecessor
+per vertex: `into[w] = u` while a path runs u -> w, for w other than t.
+Every common neighbour w of s and t carries its own path s -> w -> t before
+any search, since some maximum flow uses all of them; augmentation then
+breaks ties toward lower vertex indices and stops at a given limit. The
+witness comes from the first pair (u, t), u in N[v0] and t not adjacent to
+u, both ascending, whose flow stopped at kappa + 1 equals kappa, which is
+then a maximum flow: its cut, the vertices whose in-node but not out-node
 the search that ends the flow reaches from s, is the same for every maximum
 flow, so the witness does not depend on the paths chosen.
 """
@@ -86,9 +89,11 @@ def _max_flow(G, closed, s, t, limit):
 def vertex_connectivity(G):
     """Exact vertex connectivity with a witness cut for non-complete graphs.
 
-    Complete graphs get kappa = n - 1 by convention. Otherwise kappa is the
-    minimum s-t vertex flow; sources range over the closed neighborhood of a
-    minimum-degree vertex, which must miss at least one minimum cut.
+    Complete graphs get kappa = n - 1 by convention. Otherwise kappa comes
+    from the Esfahanian-Hakimi pairs, each flow stopped at the best value so
+    far, and the witness from the first pair (u, t), u in the closed
+    neighbourhood of the minimum-degree vertex v0 and t not adjacent to u,
+    both ascending, whose flow stopped at kappa + 1 equals kappa.
     """
     if G.n == 0:
         raise ValueError("connectivity needs at least one vertex")
@@ -99,16 +104,15 @@ def vertex_connectivity(G):
     adj = G.adjacency
     v0 = min(range(G.n), key=lambda v: (len(adj[v]), v))
     closed = [sorted(a | {v}) for v, a in enumerate(adj)]
-    best = G.n
-    witness = None
-    for u in closed[v0]:
-        for t in range(G.n):
-            if t == u or t in adj[u]:
-                continue
-            value, cut = _max_flow(G, closed, u, t, best)
-            if value < best:
-                best, witness = value, cut
-    return CutReport(best, witness)
+    pairs = [(v0, t) for t in range(G.n) if t != v0 and t not in adj[v0]]
+    pairs += [(x, y) for x in adj[v0] for y in adj[v0] if x < y and y not in adj[x]]
+    kappa = len(adj[v0])
+    for s, t in pairs:
+        kappa = _max_flow(G, closed, s, t, kappa)[0]
+    # next() without a default raises rather than return a witness of None
+    return CutReport(kappa, next(
+        cut for u in closed[v0] for t in range(G.n) if t != u and t not in adj[u]
+        for value, cut in [_max_flow(G, closed, u, t, kappa + 1)] if value == kappa))
 
 
 def cut_components(G, cut):

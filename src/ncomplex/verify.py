@@ -330,10 +330,9 @@ def _stiff_connectivity(residual):
         predicted = residual.n - 3
     else:
         predicted = vertex_connectivity(residual).kappa - 1
-    # a single-vertex residual predicts -2: the complex is just the empty
-    # face, and the scan needs no degree at all to see it
-    cap = max(predicted + 1, 0)
-    return predicted, connectivity_of_complex(neighborhood_complex(residual), cap)
+    # a single-vertex residual predicts -2 and passes the scan's least cap,
+    # -1: the complex is just the empty face
+    return predicted, connectivity_of_complex(neighborhood_complex(residual), predicted + 1)
 
 
 def verify_lovasz_bound(count=100, seed=1):

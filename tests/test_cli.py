@@ -281,6 +281,28 @@ class TestAnalyze:
         assert payload["chordal"] is False
         assert payload["weakly_triangulated"] is False
 
+    def test_chordal_graphs_skip_the_weak_triangulation_search(
+            self, capsys, tmp_path, monkeypatch):
+        # a long hole is a hole and a long antihole holds a C4, so chordal
+        # graphs are weakly triangulated and only the other graphs are searched
+        import ncomplex.cli
+        searched = []
+
+        def refuse(G):
+            searched.append(G.n)
+            raise AssertionError("weak-triangulation search")
+
+        monkeypatch.setattr(ncomplex.cli, "is_weakly_triangulated", refuse)
+        path = tmp_path / "p30.json"
+        path.write_text(path_graph(30).to_json())
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and searched == []
+        assert json.loads(out)["weakly_triangulated"] is True
+        path.write_text(cycle_graph(7).to_json())
+        with pytest.raises(AssertionError, match="weak-triangulation search"):
+            main(["analyze", str(path)])
+        assert searched == [7]
+
 
 class TestVerify:
     def test_counterexample_passes(self, capsys):

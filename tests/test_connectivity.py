@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+import ncomplex.connectivity
 from ncomplex.connectivity import (
     CutReport,
     _max_flow,
@@ -117,6 +119,40 @@ class TestVertexConnectivity:
                 for n in range(1, 7):
                     g = gen(m, n)
                     assert vertex_connectivity(g) == reference_vertex_connectivity(g)
+
+    def test_larger_sparse_graphs_match_two_pass_flow(self):
+        # past ten vertices the Esfahanian-Hakimi pairs are far fewer than
+        # the pairs the witness order walks, so kappa and the witness come
+        # from different pair sets
+        corpus = [cycle_graph(k) for k in range(3, 61, 3)]
+        corpus += [path_graph(k) for k in range(2, 61, 3)]
+        corpus += [Graph(2 * k, [(i, i + 1) for i in range(k - 1)]
+                         + [(k + i, k + i + 1) for i in range(k - 1)]
+                         + [(i, k + i) for i in range(k)]) for k in range(2, 31, 4)]
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(10, 60)
+            order = rng.sample(range(n), n)
+            edges = {tuple(sorted(order[i:i + 2])) for i in range(n - 1)}
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+            corpus.append(Graph(n, edges))
+        for g in corpus:
+            assert vertex_connectivity(g) == reference_vertex_connectivity(g)
+
+    def test_flow_count_on_a_cycle(self, monkeypatch):
+        # 37 flows from vertex 0 to the vertices it misses, one between its
+        # two neighbours, and one that finds the witness; every (u, t) pair
+        # of the witness order would take 111
+        calls = []
+        real = ncomplex.connectivity._max_flow
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return real(*args)
+
+        monkeypatch.setattr(ncomplex.connectivity, "_max_flow", counted)
+        assert vertex_connectivity(cycle_graph(40)) == CutReport(2, frozenset({1, 39}))
+        assert len(calls) <= 40
 
     def test_pinned_witness_cuts(self):
         fixtures = [

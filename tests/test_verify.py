@@ -274,6 +274,11 @@ class TestStiffConnectivity:
         # N(K1) is just the empty face: H~_-1 = Z, so conn is -2
         assert _stiff_connectivity(G) == (predicted, ConnectivityBound(predicted, True))
 
+    def test_empty_residual_is_refused(self):
+        # K0 would predict -3, below any bound the scan can confirm
+        with pytest.raises(ValueError, match="dim_cap must be at least -1"):
+            _stiff_connectivity(Graph(0))
+
     @pytest.mark.parametrize("seed", [1, 101])
     def test_scan_of_the_residual_matches_the_scan_of_g(self, seed):
         # folds keep the homotopy type of N(G), so the residual's scan stands in
