@@ -16,9 +16,9 @@ from .graph import canonical_json, json_field, json_int, json_list
 
 
 class SimplicialComplex:
-    """Immutable complex defined by its facets."""
+    """Immutable complex defined by its facets; `vertices` is their union."""
 
-    __slots__ = ("facets", "_vertices", "_faces")
+    __slots__ = ("facets", "vertices", "_faces")
 
     def __init__(self, facets):
         facets = frozenset(frozenset(f) for f in facets)
@@ -27,7 +27,7 @@ class SimplicialComplex:
                 if a < b:
                     raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
         self.facets = facets
-        self._vertices = None
+        self.vertices = frozenset().union(*facets)
         self._faces = {}  # k -> sorted k-faces; the facets never change
 
     @classmethod
@@ -41,15 +41,6 @@ class SimplicialComplex:
         return cls(maximal)
 
     @property
-    def vertices(self):
-        if self._vertices is None:
-            verts = set()
-            for f in self.facets:
-                verts |= f
-            self._vertices = frozenset(verts)
-        return self._vertices
-
-    @property
     def is_void(self):
         return not self.facets
 
@@ -61,19 +52,13 @@ class SimplicialComplex:
     def faces(self, k):
         """All k-dimensional faces as sorted tuples, in lexicographic order.
 
-        k = -1 yields the empty face (for any non-void complex). Each call
-        returns a fresh list.
+        k = -1 yields the empty face for any non-void complex and nothing for
+        the void one; below that, a non-void complex raises ValueError. Each
+        call returns a fresh list.
         """
-        if self.is_void:
-            return []
-        if k == -1:
-            return [()]
         if k not in self._faces:
-            out = set()
-            for f in self.facets:
-                if len(f) >= k + 1:
-                    out.update(combinations(sorted(f), k + 1))
-            self._faces[k] = sorted(out)
+            self._faces[k] = sorted({face for f in self.facets
+                                     for face in combinations(sorted(f), k + 1)})
         return list(self._faces[k])
 
     def face_count(self, k):
@@ -107,15 +92,11 @@ class SimplicialComplex:
 def neighborhood_complex(G):
     """Complex whose faces are the vertex sets with a common neighbor.
 
-    Facets are the inclusion-maximal neighborhoods N(v). A graph with
-    vertices but no edges yields the empty complex.
+    Facets are the inclusion-maximal neighborhoods N(v). A graph with no
+    vertices yields the void complex; one with vertices but no edges yields
+    the empty complex, whose only face is the empty neighborhood.
     """
-    if G.n == 0:
-        return SimplicialComplex([])
-    nbhds = [set(G.adjacency[v]) for v in range(G.n) if G.adjacency[v]]
-    if not nbhds:
-        return SimplicialComplex([frozenset()])
-    return SimplicialComplex.from_faces(nbhds)
+    return SimplicialComplex.from_faces(G.adjacency)
 
 
 def _extension_check(G, alive, v, depth):

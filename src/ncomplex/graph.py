@@ -140,7 +140,7 @@ class Graph:
         n = json_field(obj, "n", json_int)
         edges = json_field(obj, "edges", lambda es: list(map(_json_edge, json_list(es))))
         labels = None
-        if "labels" in obj and obj["labels"]:
+        if "labels" in obj:
             labels = json_field(obj, "labels", lambda ls: _json_labels(ls, n))
         return cls(n, edges, labels)
 

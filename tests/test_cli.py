@@ -224,6 +224,16 @@ class TestHomology:
          "malformed: [0, 1, 2] is not an edge"),
         (["analyze"], '{"n": 3, "edges": [[0]]}', "edges",
          "malformed: [0] is not an edge"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": []}', "labels",
+         "malformed: [] is not an object"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": 0}', "labels",
+         "malformed: 0 is not an object"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": false}', "labels",
+         "malformed: False is not an object"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": ""}', "labels",
+         "malformed: '' is not an object"),
+        (["analyze"], '{"n": 2, "edges": [[0, 1]], "labels": null}', "labels",
+         "malformed: None is not an object"),
     ]
 
     @pytest.mark.parametrize("argv, text, field", [case[:3] for case in MALFORMED_JSON])

@@ -154,6 +154,22 @@ class TestVertexConnectivity:
         assert vertex_connectivity(cycle_graph(40)) == CutReport(2, frozenset({1, 39}))
         assert len(calls) <= 40
 
+    def test_disconnected_graph_runs_no_flow(self, monkeypatch):
+        # the connectivity shortcut answers kappa = 0 at once; without it two
+        # disjoint 1000-cycles take over a second instead of milliseconds
+        calls = []
+        real = ncomplex.connectivity._max_flow
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return real(*args)
+
+        monkeypatch.setattr(ncomplex.connectivity, "_max_flow", counted)
+        c = cycle_graph(40)
+        two = Graph(80, list(c.edges) + [(u + 40, v + 40) for u, v in c.edges])
+        assert vertex_connectivity(two) == CutReport(0, frozenset())
+        assert calls == []
+
     def test_pinned_witness_cuts(self):
         fixtures = [
             (queen_graph(3, 3), 6, {1, 2, 3, 4, 6, 8}),

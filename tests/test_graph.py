@@ -224,6 +224,14 @@ class TestRandomChordal:
                         seen.add((a, b))
         assert seen == set(g.edges)
 
+    def test_two_or_more_cliques_never_glue_to_a_complete_graph(self):
+        # each later clique keeps a fresh vertex, and its overlap is smaller
+        # than its host clique, so that vertex misses a vertex of the host;
+        # the chordal-connected corpus relies on this
+        for s in range(1, 2001):
+            g, _ = random_chordal_graph(3, (4, 5), 2, seed=s)
+            assert not g.is_complete()
+
 
 class TestProperties:
     @given(graphs())
@@ -245,6 +253,10 @@ class TestSerialization:
         g = queen_graph(3, 2)
         h = Graph.from_json(g.to_json())
         assert h == g and h.labels == g.labels
+
+    def test_json_empty_labels_mean_none(self):
+        g = Graph.from_json('{"n": 2, "edges": [[0, 1]], "labels": {}}')
+        assert g.labels is None and g.to_json() == '{"edges":[[0,1]],"n":2}'
 
     def test_json_canonical_bytes(self):
         g1 = Graph(4, [(2, 0), (1, 3), (0, 1)])

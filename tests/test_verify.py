@@ -229,6 +229,18 @@ class TestVerifiers:
         assert report.passed
         assert report.instances_checked == len(default_cut_bound_instances())
 
+    def test_cut_bounds_counts_an_inconclusive_instance_once(self, monkeypatch):
+        import ncomplex.verify
+        # "at least dim_cap" leaves the non-chordal union inconclusive: it is
+        # skipped and not also counted as checked
+        monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
+                            lambda X, dim_cap: ConnectivityBound(dim_cap, False))
+        report = verify_cut_bounds(default_cut_bound_instances())
+        assert report.instances_checked + len(report.skipped) == 4
+        assert [s["reason"] for s in report.skipped] == [
+            "surrogate-failure (inconclusive)",
+            "premise needs the exact minimum side connectivity"]
+
     def test_cut_bounds_weak_triangulation_route_above_16_vertices(self, monkeypatch):
         import ncomplex.verify
         # non-adjacent hubs 0, 1 over a K8 block; two copies glued over the
