@@ -25,9 +25,9 @@ A cleared row is never built: `boundary_matrix` leaves it out of its row
 index, so it gets no entries. The rational-rank route clears nothing and
 stays an independent check on the full matrices.
 
-The connectivity scan reduces a smaller chain complex, the one relative
-to the closed star st w of one apex vertex w (Munkres 1984, sections 9
-and 24):
+The connectivity scan and `excised_homology` reduce a smaller chain
+complex, the one relative to the closed star st w of one apex vertex w
+(Munkres 1984, sections 9 and 24):
 
 * st w is a cone on w, so its reduced homology vanishes, and the exact
   sequence of the pair gives H~_k(X) = H_k(X, st w) for every k, over Z
@@ -47,6 +47,13 @@ and 24):
 * This is a chain complex with its faces in lexicographic order per
   degree, so the clearing argument above holds on it unchanged.
 * The face cap bounds degree k by C(|F|, k + 1) summed over the facets F missing w.
+
+The `queen-table` verifier reads its groups from `excised_homology`.
+`reduced_homology` stays on the whole complex X: the rational-rank route
+there is the independent check on the relative groups, and the
+benchmark's corpus check records `reduced_homology` by name to cross-check
+`counterexample` and `mycielskian` against that route. `ncomplex homology`
+keeps the cap on X, which its refusals are pinned to.
 """
 from __future__ import annotations
 
@@ -171,6 +178,12 @@ def _apex(X):
     return min(weight, key=lambda v: (-weight[v], v))
 
 
+def _relative_chains(X):
+    """The basis of C(X, st w) for w = `_apex(X)`, which both relative
+    routes reduce; X must have a vertex."""
+    return _OutsideStar(X, _apex(X))
+
+
 # Largest number of faces in one degree that homology enumerates. Every
 # verifier input stays below 26,000; queen 6x6 reaches 180,828 at max_dim 3
 # and 357,140 at max_dim 4.
@@ -236,11 +249,41 @@ def reduced_homology(X, max_dim, method="smith", source=""):
     if not X.is_void and max_dim >= X.dim:
         euler = -1 + sum((-1) ** k * X.face_count(k) for k in range(max_dim + 2))
         # the empty complex has its one group, H~_{-1} = Z, below degree 0
-        betti = sum((-1) ** g.dim * g.betti for g in groups) - (not X.vertices)
-        if euler != betti:
-            raise ArithmeticError(
-                f"reduced Euler characteristic {euler} != alternating Betti sum {betti}")
+        _check_euler(euler, groups, below=not X.vertices)
     return HomologyReport(groups=groups, max_dim=max_dim, source=source)
+
+
+def excised_homology(X, max_dim, source=""):
+    """The Smith report of `reduced_homology`, read from the chain complex
+    relative to the closed star of `_apex(X)` (see the module docstring).
+
+    Each degree through max_dim + 1 is checked against the face cap over the
+    facets that miss the apex before any face is enumerated. Where the groups
+    reach X.dim, the alternating sum of the relative faces, with no (-1)-face
+    since the star holds the empty face, must equal the alternating Betti
+    sum. A complex with no vertex has no star to excise and gets the whole
+    report.
+    """
+    if not X.vertices:
+        return reduced_homology(X, max_dim, source=source)
+    if max_dim < 0:
+        raise ValueError("max_dim must be non-negative")
+    chains = _relative_chains(X)
+    for k in range(max_dim + 2):
+        _check_face_cap(chains, k)
+    groups = tuple(islice(_homology_groups(chains, "smith"), max_dim + 1))
+    if max_dim >= X.dim:
+        _check_euler(sum((-1) ** k * len(chains.faces(k)) for k in range(max_dim + 2)), groups)
+    return HomologyReport(groups=groups, max_dim=max_dim, source=source)
+
+
+def _check_euler(euler, groups, below=0):
+    """Refuse groups whose alternating Betti sum, less the rank `below` of
+    H~_{-1}, is not the reduced Euler characteristic `euler`."""
+    betti = sum((-1) ** g.dim * g.betti for g in groups) - below
+    if euler != betti:
+        raise ArithmeticError(
+            f"reduced Euler characteristic {euler} != alternating Betti sum {betti}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +314,7 @@ def connectivity_of_complex(X, dim_cap, method="smith"):
         return ConnectivityBound(dim_cap, False)
     if not X.vertices:
         return ConnectivityBound(-2, True)
-    chains = _OutsideStar(X, _apex(X))
-    for g in islice(_homology_groups(chains, method), dim_cap + 1):
+    for g in islice(_homology_groups(_relative_chains(X), method), dim_cap + 1):
         if not g.is_zero:
             return ConnectivityBound(g.dim - 1, True)
     return ConnectivityBound(dim_cap, False)

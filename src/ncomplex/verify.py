@@ -43,7 +43,12 @@ from .graph import (
     queen_graph,
     random_chordal_graph,
 )
-from .homology import ConnectivityBound, connectivity_of_complex, reduced_homology
+from .homology import (
+    ConnectivityBound,
+    connectivity_of_complex,
+    excised_homology,
+    reduced_homology,
+)
 
 CERTIFIED = "certified-topological"
 SURROGATE = "homological-surrogate"
@@ -257,7 +262,7 @@ def verify_queen_table():
     report = VerificationReport("queen-table")
     for (m, n), want_betti in sorted(QUEEN_HOMOLOGY_TABLE.items()):
         G = queen_graph(m, n)
-        hom = reduced_homology(neighborhood_complex(G), 3)
+        hom = excised_homology(neighborhood_complex(G), 3)
         report.homology[(m, n)] = hom
         want = [[b, []] for b in want_betti]
         got = group_data(hom)
@@ -450,9 +455,14 @@ def verify_clique_cut(instances=None):
             continue
         G = overlay_graphs(G1, G2, shared)
         bound = connectivity_of_complex(neighborhood_complex(G), n)
-        report.instances_checked += 1
         if not is_chordal(G).chordal:
             report.regime = SURROGATE
+            # homological connectivity bounds the topological one from
+            # above, so a reading above n - 1 does not refute it
+            if bound.value > n - 1:
+                report.skip(label, "surrogate-failure (inconclusive)")
+                continue
+        report.instances_checked += 1
         if not (bound.exact and bound.value == n - 1):
             report.add_failure(G, {"vanishing_below": n, "nonzero_at": n},
                                {"connectivity": bound.describe()})

@@ -355,13 +355,18 @@ class TestVerify:
         cells = {(2, 2): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
         monkeypatch.setattr(ncomplex.verify, "QUEEN_HOMOLOGY_TABLE", cells)
         calls = []
-        real = ncomplex.verify.reduced_homology
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-        for module in (ncomplex.verify, ncomplex.cli):
-            monkeypatch.setattr(module, "reduced_homology", counted)
+        def counted(real):
+            def call(*args, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+            return call
+        # the verifier reads each cell relative to a star; a grid that
+        # recomputed a cell through the command line's report would add calls
+        monkeypatch.setattr(ncomplex.verify, "excised_homology",
+                            counted(ncomplex.verify.excised_homology))
+        monkeypatch.setattr(ncomplex.cli, "reduced_homology",
+                            counted(ncomplex.cli.reduced_homology))
         code, out, _ = run_cli(capsys, "verify", "queen-table", "--format", "table")
         assert code == 0
         assert calls == [neighborhood_complex(queen_graph(2, 2)),

@@ -15,6 +15,7 @@ from ncomplex.homology import (
     ConnectivityBound,
     boundary_matrix,
     connectivity_of_complex,
+    excised_homology,
     reduced_homology,
 )
 from ncomplex.snf import smith_normal_form
@@ -367,6 +368,59 @@ class TestExcision:
         # complex is asked once per degree, the scan's own faces coming from it
         far = frozenset(map(frozenset, [(1, 4), (1, 3), (2, 4)]))
         assert queried == [(far, k) for k in (-1, 0, 1, 2)]
+
+
+class TestExcisedHomology:
+    """The Smith report read relative to one closed star, against the report
+    on the whole complex."""
+
+    FIXTURES = [
+        SimplicialComplex([]),
+        SimplicialComplex([()]),
+        SimplicialComplex([(0,)]),
+        SimplicialComplex([range(8)]),
+        PROJECTIVE_PLANE,
+        suspension(PROJECTIVE_PLANE),
+        suspension(suspension(PROJECTIVE_PLANE)),
+        join(PROJECTIVE_PLANE, PROJECTIVE_PLANE),
+    ]
+
+    @pytest.mark.parametrize("X", FIXTURES, ids=[
+        "void", "empty", "point", "7-simplex", "rp2", "suspension",
+        "double-suspension", "join"])
+    def test_fixtures_match_the_whole_complex(self, X):
+        top = max(X.dim, 0) + 1
+        assert excised_homology(X, top, source="x") == reduced_homology(X, top, source="x")
+
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes_match_the_whole_complex(self, X):
+        top = max(X.dim, 0) + 1
+        assert excised_homology(X, top) == reduced_homology(X, top)
+
+    def test_euler_check_trips_on_a_kept_empty_face(self, monkeypatch):
+        # the relative groups telescope to the relative faces' alternating
+        # sum whatever the ranks, so a dropped boundary entry cannot trip the
+        # check; a basis that keeps the star's empty face reduces d_0 and can.
+        # Apex 0 of the hollow square leaves vertex 2 outside its star
+        faces = homology._OutsideStar.faces
+        monkeypatch.setattr(homology._OutsideStar, "faces",
+                            lambda self, k: [()] if k == -1 else faces(self, k))
+        X = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ArithmeticError, match="Euler characteristic -1 != .* -2"):
+            excised_homology(X, 1)
+
+    def test_refuses_before_enumerating(self, monkeypatch):
+        # the boundary of the 9-vertex simplex: apex 0 leaves one far facet,
+        # an 8-vertex simplex with 56 faces in degree 2
+        def unreachable(self, k):
+            raise AssertionError(f"degree {k} enumerated")
+        monkeypatch.setattr(homology, "FACE_CAP", 30)
+        monkeypatch.setattr(SimplicialComplex, "faces", unreachable)
+        monkeypatch.setattr(homology._OutsideStar, "faces", unreachable)
+        X = SimplicialComplex(combinations(range(9), 8))
+        with pytest.raises(CapExceededError, match="degree 2 may have up to 56 faces"):
+            excised_homology(X, 1)
 
 
 class TestFaceCapOfTheScan:

@@ -210,6 +210,36 @@ class TestVerifiers:
             ({"vanishing_below": n, "nonzero_at": n}, {"connectivity": f"at least {n}"})
             for n in (1, 2, 3)]
 
+    @pytest.mark.parametrize("union_bound, skipped", [
+        (ConnectivityBound(1, False), True),
+        (ConnectivityBound(1, True), True),
+        (ConnectivityBound(0, True), False),
+        (ConnectivityBound(-1, True), False),
+    ])
+    def test_clique_cut_surrogate_union_reading_above_the_cut(
+            self, monkeypatch, union_bound, skipped):
+        import ncomplex.verify
+        # two 6-vertex wheels glued over their hub: the union has holes, so
+        # its scan is a surrogate, and only a reading below n - 1 = 0 refutes
+        wheel = Graph(6, [(0, v) for v in range(1, 6)]
+                      + [(v, v % 5 + 1) for v in range(1, 6)])
+        shared = frozenset({0})
+        union = neighborhood_complex(overlay_graphs(wheel, wheel, shared))
+        real = ncomplex.verify.connectivity_of_complex
+        report = verify_clique_cut([(wheel, wheel, shared, 1)])
+        assert report.passed and report.instances_checked == 1 and not report.skipped
+        monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
+                            lambda X, cap: union_bound if X == union else real(X, cap))
+        report = verify_clique_cut([(wheel, wheel, shared, 1)])
+        assert report.regime == "homological-surrogate"
+        if skipped:
+            assert report.passed and report.instances_checked == 0
+            assert report.skipped == [{"instance": "glue n=1 sides 6+6",
+                                       "reason": "surrogate-failure (inconclusive)"}]
+        else:
+            assert report.instances_checked == 1 and not report.skipped
+            assert report.passed == (union_bound.value == 0)
+
     def test_clique_cut_skips_an_empty_glue_on_an_edgeless_side(self):
         # N of an edgeless graph is {empty face}, which is not (-1)-connected
         report = verify_clique_cut([(Graph(2, []), complete_graph(3), frozenset(), 0)])
