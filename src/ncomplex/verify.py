@@ -457,9 +457,10 @@ def verify_clique_cut(instances=None):
         bound = connectivity_of_complex(neighborhood_complex(G), n)
         if not is_chordal(G).chordal:
             report.regime = SURROGATE
-            # homological connectivity bounds the topological one from
-            # above, so a reading above n - 1 does not refute it
-            if bound.value > n - 1:
+            # a scan past n - 1 = 0 does not refute conn = 0, since H~_1
+            # cannot see a perfect pi_1; for n >= 2 Hurewicz turns conn =
+            # n - 1 into H~_n != 0, and for n = 0 H~_0 = 0 means connected
+            if n == 1 and not bound.exact:
                 report.skip(label, "surrogate-failure (inconclusive)")
                 continue
         report.instances_checked += 1

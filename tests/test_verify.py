@@ -210,35 +210,39 @@ class TestVerifiers:
             ({"vanishing_below": n, "nonzero_at": n}, {"connectivity": f"at least {n}"})
             for n in (1, 2, 3)]
 
-    @pytest.mark.parametrize("union_bound, skipped", [
-        (ConnectivityBound(1, False), True),
-        (ConnectivityBound(1, True), True),
-        (ConnectivityBound(0, True), False),
-        (ConnectivityBound(-1, True), False),
-    ])
-    def test_clique_cut_surrogate_union_reading_above_the_cut(
-            self, monkeypatch, union_bound, skipped):
+    @pytest.mark.parametrize("shared, union_bound, verdict", [
+        ({0}, ConnectivityBound(1, False), "skip"),
+        ({0}, ConnectivityBound(0, True), "pass"),
+        ({0}, ConnectivityBound(-1, True), "fail"),
+        ({0, 1}, ConnectivityBound(2, False), "fail"),
+        (set(), ConnectivityBound(0, False), "fail"),
+    ], ids=["n1-above", "n1-at", "n1-below", "n2-above", "n0-above"])
+    def test_clique_cut_surrogate_union_reading(
+            self, monkeypatch, shared, union_bound, verdict):
         import ncomplex.verify
-        # two 6-vertex wheels glued over their hub: the union has holes, so
-        # its scan is a surrogate, and only a reading below n - 1 = 0 refutes
+        # two 6-vertex wheels glued over n of hub 0 and rim vertex 1: the
+        # union has holes, so its scan is a surrogate. Only at n = 1 is a
+        # reading above n - 1 inconclusive; at n = 2 Hurewicz refutes it, and
+        # at n = 0 it says the complex is connected
         wheel = Graph(6, [(0, v) for v in range(1, 6)]
                       + [(v, v % 5 + 1) for v in range(1, 6)])
-        shared = frozenset({0})
+        shared = frozenset(shared)
+        n = len(shared)
         union = neighborhood_complex(overlay_graphs(wheel, wheel, shared))
         real = ncomplex.verify.connectivity_of_complex
-        report = verify_clique_cut([(wheel, wheel, shared, 1)])
+        report = verify_clique_cut([(wheel, wheel, shared, n)])
         assert report.passed and report.instances_checked == 1 and not report.skipped
         monkeypatch.setattr(ncomplex.verify, "connectivity_of_complex",
                             lambda X, cap: union_bound if X == union else real(X, cap))
-        report = verify_clique_cut([(wheel, wheel, shared, 1)])
+        report = verify_clique_cut([(wheel, wheel, shared, n)])
         assert report.regime == "homological-surrogate"
-        if skipped:
+        if verdict == "skip":
             assert report.passed and report.instances_checked == 0
-            assert report.skipped == [{"instance": "glue n=1 sides 6+6",
+            assert report.skipped == [{"instance": f"glue n={n} sides 6+6",
                                        "reason": "surrogate-failure (inconclusive)"}]
         else:
             assert report.instances_checked == 1 and not report.skipped
-            assert report.passed == (union_bound.value == 0)
+            assert report.passed == (verdict == "pass")
 
     def test_clique_cut_skips_an_empty_glue_on_an_edgeless_side(self):
         # N of an edgeless graph is {empty face}, which is not (-1)-connected
